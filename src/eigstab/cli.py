@@ -45,7 +45,7 @@ from .holder import (
 )
 from .measure import WeightedMeasure, conjugate_exponent
 from .sampling import random_nonnegative_unit, random_unit_function
-from .spectral import lambda_of_potential, lowest_eigenpair
+from .spectral import lowest_eigenpair
 from .stability import line_sweep_corpus, radial_sweep_corpus, run_sweep
 
 #: cross-check tolerance asserted by the `constants` subcommand
@@ -183,8 +183,16 @@ def _emit(cfg: RunConfig, text: str) -> None:
             fh.write(text)
 
 
+def _grid(cfg: RunConfig, kind: str, n: int | None = None) -> Grid:
+    """The configured grid; a rejected geometry is a configuration error."""
+    try:
+        return Grid(kind, cfg.d if kind == "radial" else 1, cfg.grid_l, n or cfg.grid_n)
+    except ValueError as exc:
+        raise ConfigError(f"invalid grid: {exc}") from exc
+
+
 def _solve(cfg: RunConfig, exps: Exponents):
-    grid = Grid.radial(cfg.d, cfg.grid_l, cfg.grid_n)
+    grid = _grid(cfg, "radial")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return solve_ground_state(exps.q, cfg.d, grid, tol=cfg.tol)
@@ -240,6 +248,8 @@ def _read_potential(cfg: RunConfig, grid: Grid) -> GridFunction:
         data = np.array([[float(a), float(b)] for a, b in rows[1:]])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"malformed potential file: {exc}") from exc
+    if not np.all(np.isfinite(data)):
+        raise ConfigError("potential file holds a non-finite value")
     coords, vals = data[:, 0], data[:, 1]
     order = np.argsort(coords)
     coords, vals = coords[order], vals[order]
@@ -256,12 +266,10 @@ def _read_potential(cfg: RunConfig, grid: Grid) -> GridFunction:
 
 
 def _cmd_eigen(cfg: RunConfig) -> None:
-    grid = Grid.line(cfg.grid_l, cfg.grid_n) if cfg.d == 1 else Grid.radial(
-        cfg.d, cfg.grid_l, cfg.grid_n
-    )
+    grid = _grid(cfg, "line" if cfg.d == 1 else "radial")
     V = _read_potential(cfg, grid)
-    lam = lambda_of_potential(V, tol=cfg.tol)
     pair = lowest_eigenpair(V, 0, tol=cfg.tol)
+    lam = min(0.0, pair.lam)  # the clamp of lambda_of_potential, on the same solve
     _emit(
         cfg,
         json.dumps(
@@ -358,7 +366,7 @@ def _cmd_stability_sweep(cfg: RunConfig) -> None:
     exps = _exponents(cfg, default_gamma=1.5 if cfg.d == 1 else 1.0)
     gs = _solve(cfg, exps)
     if cfg.d == 1:
-        corpus = line_sweep_corpus(Grid.line(cfg.grid_l, cfg.grid_n))
+        corpus = line_sweep_corpus(_grid(cfg, "line"))
     else:
         corpus = radial_sweep_corpus(gs.grid, gs)
     result = run_sweep(corpus, exps.gamma, cfg.d, gs)
@@ -387,7 +395,7 @@ def _cmd_convergence(cfg: RunConfig) -> None:
     prev_err = None
     for level in range(3):
         n = cfg.grid_n * 2**level
-        grid = Grid.line(cfg.grid_l, n)
+        grid = _grid(cfg, "line", n)
         V = GridFunction(grid, -2.0 / np.cosh(grid.nodes) ** 2)
         lam = lowest_eigenpair(V, 0, tol=cfg.tol).lam
         err = abs(lam - (-1.0))

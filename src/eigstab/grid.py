@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .exceptions import DimensionMismatchError, UnsupportedChannelError
+from .measure import weighted_norm
 
 
 def surface_area(d: int) -> float:
@@ -46,8 +47,8 @@ class Grid:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.n < 16:
             raise ValueError("need at least 16 nodes")
-        if self.extent <= 0.0:
-            raise ValueError("extent must be positive")
+        if not 0.0 < self.extent < np.inf:
+            raise ValueError("extent must be positive and finite")
         if self.kind == "line":
             if self.dim != 1:
                 raise ValueError("line grids are one-dimensional")
@@ -187,11 +188,7 @@ def norm_l2(f: GridFunction) -> float:
 
 
 def norm_lp(f: GridFunction, p: float) -> float:
-    a = np.abs(f.values)
-    if not a.any():
-        return 0.0
-    m = a.max()
-    return float(m * (f.grid.quad_weights @ (a / m) ** p) ** (1.0 / p))
+    return weighted_norm(np.abs(f.values), f.grid.quad_weights, p)
 
 
 def laplacian_tridiagonal(grid: Grid, ell: int = 0):

@@ -102,10 +102,6 @@ class Exponents:
         return cls.from_gamma(p - d / 2.0, d)
 
 
-def exponents_from_gamma(gamma: float, d: int) -> Exponents:
-    return Exponents.from_gamma(gamma, d)
-
-
 # ---------------------------------------------------------------------------
 # energy functional
 # ---------------------------------------------------------------------------

@@ -20,6 +20,15 @@ from .exceptions import (
 )
 
 
+def weighted_norm(vals, weights, p: float) -> float:
+    """(sum_i w_i vals_i^p)^(1/p) for vals >= 0; the max is factored out to
+    avoid overflow for large p."""
+    m = vals.max()
+    if m == 0.0:
+        return 0.0
+    return float(m * (weights @ (vals / m) ** p) ** (1.0 / p))
+
+
 def conjugate_exponent(p: float) -> float:
     """Return p' with 1/p + 1/p' = 1."""
     if p <= 1.0:
@@ -124,12 +133,7 @@ def lp_norm(f: MeasFunction, p: float) -> float:
     """(sum_i w_i |f_i|^p)^(1/p)."""
     if not np.isfinite(p) or p < 1.0:
         raise InvalidExponentError(f"lp_norm needs finite p >= 1, got {p}")
-    a = np.abs(f.values)
-    if not a.any():
-        return 0.0
-    # factor out the max to avoid overflow for large p
-    m = a.max()
-    return float(m * (f.measure.weights @ (a / m) ** p) ** (1.0 / p))
+    return weighted_norm(np.abs(f.values), f.measure.weights, p)
 
 
 def pairing(f: MeasFunction, g: MeasFunction) -> complex:

@@ -70,17 +70,6 @@ class _TridiagRank1:
             out += rho * (u @ v) * u
         return out
 
-    def lower_bound(self) -> float:
-        lb = self.diag.copy()
-        lb[:-1] -= np.abs(self.off)
-        lb[1:] -= np.abs(self.off)
-        lb = float(lb.min())
-        if self.rank1 is not None:
-            rho, u = self.rank1
-            if rho < 0.0:
-                lb += rho * float(u @ u)
-        return lb
-
     def solve_shifted(self, sigma, rhs):
         """(A - sigma I)^(-1) rhs via banded LU and Sherman-Morrison."""
         ab = np.zeros((3, self.n))

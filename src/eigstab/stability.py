@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import (
     DegenerateInputError,
@@ -35,6 +36,7 @@ from .grid import (
     norm_lp,
 )
 from .groundstate import Exponents, GroundState, profile_interpolant
+from .measure import weighted_norm
 from .spectral import lowest_eigenpair
 
 #: distances below this leave empirical_c undefined (division by ~0)
@@ -42,6 +44,12 @@ DISTANCE_FLOOR = 1e-6
 
 #: how sloppy the supplied ground state may be in deficit_decomposition
 RAYLEIGH_RESIDUAL_CAP = 1e-6
+
+#: the line-grid shift scan ranks every SCAN_STRIDE-th node shift, SCAN_BLOCK
+#: shifts at a time, then refines the winner to SHIFT_XATOL grid spacings
+SCAN_STRIDE = 4
+SCAN_BLOCK = 16
+SHIFT_XATOL = 1e-6
 
 
 def negative_part(V: GridFunction) -> GridFunction:
@@ -99,6 +107,18 @@ def _base_profile(gs: GroundState):
     return v0neg
 
 
+def _branch_map(vals, exps: Exponents, power: bool):
+    """(values, norm exponent) of a branch: V_- in L^p, or V_-^(2/(q-2)) in L^(q/2)."""
+    if power:
+        return vals ** (2.0 / (exps.q - 2.0)), exps.q / 2.0
+    return vals, exps.p
+
+
+def _branch_norm(vneg: GridFunction, exps: Exponents, power: bool) -> float:
+    vals, pnorm = _branch_map(vneg.values, exps, power)
+    return weighted_norm(vals, vneg.grid.quad_weights, pnorm)
+
+
 def _matched_scale(vneg: GridFunction, exps: Exponents, gs: GroundState, power: bool) -> float:
     """Scale b fixed by norm matching against the unit-scale member.
 
@@ -108,17 +128,13 @@ def _matched_scale(vneg: GridFunction, exps: Exponents, gs: GroundState, power: 
     """
     base = GridFunction(gs.grid, (gs.Q.values / gs.norm_q) ** (gs.q - 2.0))
     p, q, d = exps.p, exps.q, exps.d
-    if not power:
+    if power:
+        # ||(b^2 V0(b .))^(2/(q-2))||_(q/2) = b^(4/(q-2) - 2d/q) * ref
+        expo = 1.0 / (4.0 / (q - 2.0) - 2.0 * d / q)
+    else:
         # ||b^2 V0(b .)||_p = b^(2 - d/p) ||V0||_p
-        target = norm_lp(vneg, p)
-        ref = norm_lp(base, p)
-        return (target / ref) ** (p / (2.0 * p - d))
-    # ||(b^2 V0(b .))^(2/(q-2))||_(q/2) = b^(4/(q-2) - 2d/q) * ref
-    alpha = 4.0 / (q - 2.0) - 2.0 * d / q
-    two_qm2 = 2.0 / (q - 2.0)
-    target = norm_lp(GridFunction(vneg.grid, vneg.values**two_qm2), q / 2.0)
-    ref = norm_lp(GridFunction(gs.grid, base.values**two_qm2), q / 2.0)
-    return (target / ref) ** (1.0 / alpha)
+        expo = p / (2.0 * p - d)
+    return (_branch_norm(vneg, exps, power) / _branch_norm(base, exps, power)) ** expo
 
 
 def _family_neg(
@@ -133,58 +149,63 @@ def _family_neg(
 
 
 def _distance_objective(vneg_vals, w_vals, weights, exps: Exponents, power: bool, denom: float) -> float:
-    if power:
-        two_qm2 = 2.0 / (exps.q - 2.0)
-        diff = np.abs(vneg_vals**two_qm2 - w_vals**two_qm2)
-        pnorm = exps.q / 2.0
-    else:
-        diff = np.abs(vneg_vals - w_vals)
-        pnorm = exps.p
-    m = diff.max()
-    if m == 0.0:
-        return 0.0
-    return float(m * (weights @ (diff / m) ** pnorm) ** (1.0 / pnorm)) / denom
+    u, pnorm = _branch_map(vneg_vals, exps, power)
+    w, _ = _branch_map(w_vals, exps, power)
+    return weighted_norm(np.abs(u - w), weights, pnorm) / denom
 
 
-def _scan_shift(vneg: GridFunction, gs: GroundState, b: float, exps: Exponents, power: bool, denom: float):
-    """Minimize the distance over the shift a: coarse node scan (step 4h)
-    plus one three-point parabolic refinement.  Radial grids are centered
-    by construction, so a = 0 there."""
-    grid = vneg.grid
-    v0 = _base_profile(gs)
+def _scan_shift(
+    vneg: GridFunction, gs: GroundState, b: float, exps: Exponents, power: bool, denom: float, v0=None
+):
+    """Minimize the distance over the shift a; radial grids are centered
+    by construction, so a = 0 there.  On line grids every node shift of W_-
+    is a window of one lattice sample (W_-(x_i - x_j) = b^2 V0_-(b h |i - j|)).
+    Window sums at every SCAN_STRIDE-th node only rank the shifts; Brent's
+    bounded method refines the winner on the exact objective, so the result
+    is an exact evaluation and never above the coarse winner's value.
+    """
+    from scipy.optimize import minimize_scalar
+
+    grid, weights = vneg.grid, vneg.grid.quad_weights
+    if v0 is None:
+        v0 = _base_profile(gs)
+
+    def objective(a):
+        w_vals = _family_neg(gs, grid, b, a, v0)
+        return _distance_objective(vneg.values, w_vals, weights, exps, power, denom)
+
     if grid.kind == "radial":
-        w_vals = _family_neg(gs, grid, b, 0.0, v0)
-        return _distance_objective(vneg.values, w_vals, grid.quad_weights, exps, power, denom), 0.0
+        return objective(0.0), 0.0
 
-    h = grid.spacing
-    shifts = grid.nodes[:: 4]
+    n, h = grid.n, grid.spacing
+    lattice, _ = _branch_map(b**2 * v0(b * h * np.abs(np.arange(1 - n, n))), exps, power)
+    u, pnorm = _branch_map(vneg.values, exps, power)
+    # node shift j is the window that starts at n - 1 - j
+    rows = sliding_window_view(lattice, n)[n - 1 :: -SCAN_STRIDE]
+    sums = np.empty(len(rows))
+    buf = np.empty((SCAN_BLOCK, n))
+    for s in range(0, len(rows), SCAN_BLOCK):
+        block = rows[s : s + SCAN_BLOCK]
+        out = np.subtract(u, block, out=buf[: len(block)])
+        if pnorm == 2.0:
+            np.square(out, out=out)
+        else:
+            np.abs(out, out=out)
+            np.power(out, pnorm, out=out)
+        np.matmul(out, weights, out=sums[s : s + len(block)])
+    a0 = float(grid.nodes[SCAN_STRIDE * int(np.argmin(sums))])
+    bracket = (a0 - SCAN_STRIDE * h, a0 + SCAN_STRIDE * h)
+    res = minimize_scalar(
+        objective, bounds=bracket, method="bounded", options={"xatol": SHIFT_XATOL * h}
+    )
+    return min((objective(a0), a0), (float(res.fun), float(res.x)))
 
-    def obj(a):
-        return _distance_objective(
-            vneg.values, _family_neg(gs, grid, b, a, v0), grid.quad_weights, exps, power, denom
-        )
 
-    vals = np.array([obj(a) for a in shifts])
-    i = int(np.argmin(vals))
-    a0 = shifts[i]
-    step = 4.0 * h
-
-    # parabolic refinement on the winning bracket, two rounds
-    best_a, best_v = a0, float(vals[i])
-    for _ in range(2):
-        fl, fr = obj(best_a - step), obj(best_a + step)
-        denom_p = fl - 2.0 * best_v + fr
-        if denom_p <= 0.0:
-            step /= 4.0
-            continue
-        shift = 0.5 * step * (fl - fr) / denom_p
-        shift = float(np.clip(shift, -step, step))
-        cand = best_a + shift
-        cv = obj(cand)
-        if cv < best_v:
-            best_a, best_v = cand, cv
-        step /= 4.0
-    return best_v, float(best_a)
+def _branch_distance(vneg: GridFunction, exps: Exponents, gs: GroundState, power: bool, v0=None):
+    """(distance, a, b) in the low or high (power) branch; see distance_to_manifold."""
+    b = _matched_scale(vneg, exps, gs, power)
+    dist, a = _scan_shift(vneg, gs, b, exps, power, _branch_norm(vneg, exps, power), v0)
+    return dist, a, b
 
 
 def distance_to_manifold(V: GridFunction, gamma: float, d: int, gs: GroundState):
@@ -197,15 +218,7 @@ def distance_to_manifold(V: GridFunction, gamma: float, d: int, gs: GroundState)
     exps = _check_compatible(V, gamma, d, gs)
     vneg = negative_part(V)
     _require_attractive(vneg)
-    power = exps.p > 2.0
-    b = _matched_scale(vneg, exps, gs, power)
-    if power:
-        two_qm2 = 2.0 / (exps.q - 2.0)
-        denom = norm_lp(GridFunction(vneg.grid, vneg.values**two_qm2), exps.q / 2.0)
-    else:
-        denom = norm_lp(vneg, exps.p)
-    dist, a = _scan_shift(vneg, gs, b, exps, power, denom)
-    return dist, a, b
+    return _branch_distance(vneg, exps, gs, exps.p > 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +291,8 @@ def stability_report(V: GridFunction, gamma: float, d: int, gs: GroundState) -> 
     denom = norm_lp(vneg, exps.p) ** (exps.p / gamma)
     ratio = abs(lam) / denom
     dfc = gs.C_prime - ratio
-    dist, a, b = distance_to_manifold(V, gamma, d, gs)
+    v0 = _base_profile(gs)
+    dist, a, b = _branch_distance(vneg, exps, gs, exps.p > 2.0, v0)
     branch = "low" if exps.p <= 2.0 else "high"
     emp = None
     if dist >= DISTANCE_FLOOR:
@@ -286,20 +300,18 @@ def stability_report(V: GridFunction, gamma: float, d: int, gs: GroundState) -> 
 
     transfer = transfer_ratio = trans_lhs = trans_rhs = None
     if exps.p >= 2.0:
-        bp = _matched_scale(vneg, exps, gs, power=False)
-        pden = norm_lp(vneg, exps.p)
-        transfer, ap = _scan_shift(vneg, gs, bp, exps, power=False, denom=pden)
+        # at p = 2 the power map is the identity, so the branch scan is the L^p scan
+        transfer, ap, bp = (
+            (dist, a, b) if exps.p == 2.0 else _branch_distance(vneg, exps, gs, False, v0)
+        )
         if transfer >= DISTANCE_FLOOR:
             transfer_ratio = dfc / (gs.C_prime * transfer ** (2.0 * gamma + d - 2.0))
         # both sides of the transfer comparison at the p-matched member
-        w_vals = _family_neg(gs, V.grid, bp, ap)
+        w_vals = _family_neg(gs, V.grid, bp, ap, v0)
         weights = V.grid.quad_weights
-        diff_p = np.abs(vneg.values - w_vals)
-        lp_diff = _weighted_norm(diff_p, weights, exps.p)
+        lp_diff = _distance_objective(vneg.values, w_vals, weights, exps, False, 1.0)
         trans_lhs = (1.0 / exps.p) * (lp_diff / 2.0) ** (exps.p - 1.0)
-        two_qm2 = 2.0 / (exps.q - 2.0)
-        diff_pow = np.abs(vneg.values**two_qm2 - w_vals**two_qm2)
-        trans_rhs = _weighted_norm(diff_pow, weights, exps.q / 2.0)
+        trans_rhs = _distance_objective(vneg.values, w_vals, weights, exps, True, 1.0)
 
     return StabilityReport(
         gamma=gamma,
@@ -319,13 +331,6 @@ def stability_report(V: GridFunction, gamma: float, d: int, gs: GroundState) -> 
         trans_lhs=trans_lhs,
         trans_rhs=trans_rhs,
     )
-
-
-def _weighted_norm(vals, weights, p):
-    m = vals.max()
-    if m == 0.0:
-        return 0.0
-    return float(m * (weights @ (vals / m) ** p) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -203,3 +203,33 @@ def test_stability_sweep_radial(capsys, tmp_path):
     for row in rows[1:]:
         fields = row.split(",")
         assert all(np.isfinite(float(v)) for v in fields[1:] if v != "")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigen_non_finite_potential(capsys, tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    x = np.linspace(-10.0, 10.0, 201)
+    vals = -np.ones_like(x)
+    vals[57] = bad
+    _write_potential(path, x, vals)
+    code, _, err = run_cli(
+        capsys, "eigen", "--potential", str(path), "--grid-l", "10", "--grid-n", "500",
+    )
+    assert code == 2
+    assert "non-finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags", [("--grid-n", "8"), ("--grid-l", "nan"), ("--grid-l", "inf")]
+)
+def test_eigen_invalid_grid_flags(capsys, tmp_path, flags):
+    path = tmp_path / "flat.csv"
+    x = np.linspace(-10.0, 10.0, 201)
+    _write_potential(path, x, -np.ones_like(x))
+    code, _, err = run_cli(
+        capsys, "eigen", "--potential", str(path), "--grid-l", "10", "--grid-n", "500", *flags,
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err

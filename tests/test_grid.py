@@ -41,6 +41,14 @@ def test_grid_construction_and_validation():
         Grid("radial", 0, 5.0, 50)
 
 
+@pytest.mark.parametrize("extent", [np.nan, np.inf])
+def test_grid_rejects_non_finite_extent(extent):
+    with pytest.raises(ValueError):
+        Grid.line(extent, 100)
+    with pytest.raises(ValueError):
+        Grid.radial(3, extent, 100)
+
+
 def test_gaussian_integral_radial():
     # int_R^3 e^(-r^2) = pi^(3/2)
     g = Grid.radial(3, 12.0, 2000)

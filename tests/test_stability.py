@@ -1,5 +1,7 @@
 """Deficits, manifold distances, decomposition, and sweep corpora."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,65 @@ def test_sweep_output_formats(gs_q103_d3):
     doc = json.loads(res.summary_json())
     assert doc["corpus_size"] == 3
     assert float(doc["min_empirical_c"]) > 0.0
+
+
+def _translated_corpus_member(grid, index, a):
+    # the corpus formulas evaluated at x - a, so the input is exact, not
+    # interpolated, and the optimal shift sits off the nodes
+    shifted = copy.copy(grid)
+    object.__setattr__(shifted, "nodes", grid.nodes - a)
+    return GridFunction(grid, line_sweep_corpus(shifted)[index][2].values)
+
+
+def _dense_minimum(V, gamma, gs, rep):
+    """Exact distance objective at shifts h/50 apart within 8h of rep's a."""
+    from eigstab.groundstate import Exponents
+    from eigstab.grid import norm_lp
+    from eigstab.stability import _base_profile, _distance_objective, _family_neg
+
+    exps = Exponents.from_gamma(gamma, 1)
+    grid = V.grid
+    vneg = negative_part(V).values
+    power = exps.p > 2.0
+    if power:
+        two_qm2 = 2.0 / (exps.q - 2.0)
+        denom = norm_lp(GridFunction(grid, vneg**two_qm2), exps.q / 2.0)
+    else:
+        denom = norm_lp(negative_part(V), exps.p)
+    v0 = _base_profile(gs)
+    h = grid.spacing
+    shifts = rep.matched_a + h * np.arange(-400, 401) / 50.0
+    return min(
+        _distance_objective(
+            vneg, _family_neg(gs, grid, rep.matched_b, a, v0), grid.quad_weights,
+            exps, power, denom,
+        )
+        for a in shifts
+    )
+
+
+@pytest.mark.parametrize(
+    "index, a",
+    # depth, width, three cosine (eps = 0.05, 0.075, 0.1) and two-bump members
+    [(3, 1.2345), (17, -0.777), (30, -0.3818), (31, 1.2345), (32, 0.4321), (50, 0.333)],
+)
+def test_line_distance_not_above_dense_minimum(line_grid, gs_q4_d1, index, a):
+    # the reported distance is an infimum over the shift: it must not sit
+    # above a brute-force scan around the reported minimizer
+    V = _translated_corpus_member(line_grid, index, a)
+    rep = stability_report(V, 1.5, 1, gs_q4_d1)
+    assert rep.distance <= _dense_minimum(V, 1.5, gs_q4_d1, rep) * (1.0 + 1e-9)
+    # at p = 2 the transfer distance is the branch distance
+    assert rep.transfer_distance == rep.distance
+    assert rep.matched_a == pytest.approx(a, abs=0.5)
+
+
+def test_line_distance_not_above_dense_minimum_high_branch(line_grid, gs_q3_d1):
+    # q = 3 (gamma = 5/2, p = 3): the scan ranks shifts in the power map
+    x = line_grid.nodes - 0.61
+    V = GridFunction(line_grid, -2.0 / np.cosh(x) ** 2 * (1.0 + 0.2 * np.cos(x)))
+    rep = stability_report(V, 2.5, 1, gs_q3_d1)
+    assert rep.branch == "high"
+    assert rep.distance <= _dense_minimum(V, 2.5, gs_q3_d1, rep) * (1.0 + 1e-9)
+    assert rep.matched_a == pytest.approx(0.61, abs=0.1)
+    assert rep.trans_lhs <= rep.trans_rhs + 1e-12
