@@ -187,11 +187,8 @@ def _scan_shift(
     for s in range(0, len(rows), SCAN_BLOCK):
         block = rows[s : s + SCAN_BLOCK]
         out = np.subtract(u, block, out=buf[: len(block)])
-        if pnorm == 2.0:
-            np.square(out, out=out)
-        else:
-            np.abs(out, out=out)
-            np.power(out, pnorm, out=out)
+        np.abs(out, out=out)
+        np.power(out, pnorm, out=out)
         np.matmul(out, weights, out=sums[s : s + len(block)])
     a0 = float(grid.nodes[SCAN_STRIDE * int(np.argmin(sums))])
     bracket = (a0 - SCAN_STRIDE * h, a0 + SCAN_STRIDE * h)
