@@ -51,9 +51,11 @@ from .hessian import (
     local_stability_probe,
 )
 from .holder import (
+    FuzzReport,
     HolderReport,
     PowerComparisonReport,
     duality_continuity_check,
+    fuzz_inequalities,
     h_functional,
     holder_report,
     power_comparison_check,

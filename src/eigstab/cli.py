@@ -36,25 +36,12 @@ from .groundstate import (
     solve_ground_state,
 )
 from .hessian import kernel_report
-from .holder import (
-    duality_continuity_check,
-    holder_report,
-    power_comparison_check,
-    remainder_bounds,
-    uniform_convexity_gap,
-)
-from .measure import WeightedMeasure, conjugate_exponent
-from .sampling import random_nonnegative_unit, random_unit_function
+from .holder import FUZZ_EXPONENTS, fuzz_inequalities
 from .spectral import lowest_eigenpair
 from .stability import line_sweep_corpus, radial_sweep_corpus, run_sweep
 
 #: cross-check tolerance asserted by the `constants` subcommand
 ROUTE_MISMATCH_CAP = 1e-6
-
-#: slack granted to the fuzzing inequalities
-FUZZ_TOL = 1e-10
-
-_FUZZ_EXPONENTS = (2.0, 2.5, 3.0, 4.0, 6.0)
 
 
 class ConfigError(Exception):
@@ -113,6 +100,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIG_TYPES = {
+    "gamma": float, "q": float, "d": int, "grid_l": float, "grid_n": int,
+    "tol": float, "seed": int, "samples": int, "out": str, "format": str,
+    "potential": str, "p": float,
+}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _config_value(key: str, kind: type, value):
+    """A config-file value as ``kind``: an int must be integral (1000.0 is
+    1000), a float any real number; booleans are neither."""
+    if kind is str:
+        if isinstance(value, str):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is float:
+            return float(value)
+        if float(value).is_integer():
+            return int(value)
+    raise ConfigError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.command is None:
         raise ConfigError("no subcommand given")
@@ -123,16 +132,22 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError("config file must hold a JSON object")
         grid = doc.pop("grid", None)
         if grid is not None:
+            if not isinstance(grid, dict):
+                raise ConfigError("config key 'grid' must be an object")
             if "L" in grid:
-                cfg.grid_l = float(grid["L"])
+                cfg.grid_l = _config_value("grid.L", float, grid["L"])
             if "n" in grid:
-                cfg.grid_n = int(grid["n"])
+                cfg.grid_n = _config_value("grid.n", int, grid["n"])
         for key, value in doc.items():
             attr = key.replace("-", "_")
             if not hasattr(cfg, attr) or attr == "command":
                 raise ConfigError(f"unknown config key {key!r}")
+            if value is not None or getattr(cfg, attr) is not None:  # null keeps a None default
+                value = _config_value(key, _CONFIG_TYPES[attr], value)
             setattr(cfg, attr, value)
     # explicit flags win over the config file
     for attr in (
@@ -284,52 +299,11 @@ def _cmd_eigen(cfg: RunConfig) -> None:
 
 
 def _cmd_holder_verify(cfg: RunConfig) -> None:
-    rng = np.random.default_rng(cfg.seed)
-    measure = WeightedMeasure.uniform_probability(64)
-    exponents = (cfg.p,) if cfg.p is not None else _FUZZ_EXPONENTS
+    exponents = (cfg.p,) if cfg.p is not None else FUZZ_EXPONENTS
     for p in exponents:
         if p < 2.0:
             raise ConfigError(f"holder-verify needs p >= 2, got {p}")
-    violations = []
-    tight_main = 0.0
-    tight_conv = 0.0
-    tight_rem = 0.0
-    for i in range(cfg.samples):
-        p = float(exponents[i % len(exponents)])
-        pc = conjugate_exponent(p)
-        q = 2.0 * p / (p - 1.0)
-        f = random_unit_function(rng, measure, p, complex_values=True)
-        g = random_unit_function(rng, measure, pc, complex_values=True)
-        rep = holder_report(f, g, p)
-        for tag, bound in (("main1", rep.bound_main1), ("main2", rep.bound_main2)):
-            if bound > rep.deficit + FUZZ_TOL:
-                violations.append(f"sample {i} p={p:g}: {tag} {bound!r} > {rep.deficit!r}")
-            if rep.deficit > FUZZ_TOL:
-                tight_main = max(tight_main, bound / rep.deficit)
-        u = random_unit_function(rng, measure, p)
-        v = random_unit_function(rng, measure, p)
-        gap, lower = uniform_convexity_gap(u, v, p)
-        if lower > gap + FUZZ_TOL:
-            violations.append(f"sample {i} p={p:g}: convexity {lower!r} > {gap!r}")
-        if gap > FUZZ_TOL:
-            tight_conv = max(tight_conv, lower / gap)
-        lhs, rhs = duality_continuity_check(f, 0.5 * g + 0.5 * f, p)
-        if lhs > rhs + FUZZ_TOL:
-            violations.append(f"sample {i} p={p:g}: duality {lhs!r} > {rhs!r}")
-        pw = power_comparison_check(f, g, q if q >= 2.0 else p)
-        if pw.quad_lhs > pw.quad_rhs + FUZZ_TOL:
-            violations.append(f"sample {i}: power-quad {pw.quad_lhs!r} > {pw.quad_rhs!r}")
-        if pw.high_lhs is not None and pw.high_lhs > pw.high_rhs + FUZZ_TOL:
-            violations.append(f"sample {i}: power-high {pw.high_lhs!r} > {pw.high_rhs!r}")
-        psi = random_unit_function(rng, measure, q, complex_values=True)
-        U = random_nonnegative_unit(rng, measure, p)
-        B, H = remainder_bounds(psi, U, q)
-        if H < -FUZZ_TOL:
-            violations.append(f"sample {i} q={q:g}: gap functional {H!r} < 0")
-        if B > H + FUZZ_TOL:
-            violations.append(f"sample {i} q={q:g}: remainder {B!r} > {H!r}")
-        if H > FUZZ_TOL:
-            tight_rem = max(tight_rem, B / H)
+    rep = fuzz_inequalities(cfg.samples, cfg.seed, exponents)
     _emit(
         cfg,
         json.dumps(
@@ -337,17 +311,17 @@ def _cmd_holder_verify(cfg: RunConfig) -> None:
                 "samples": cfg.samples,
                 "seed": cfg.seed,
                 "exponents": list(exponents),
-                "violations": len(violations),
+                "violations": rep.violations,
                 "tightness": {
-                    "holder_bounds": f"{tight_main:.6g}",
-                    "convexity": f"{tight_conv:.6g}",
-                    "remainder": f"{tight_rem:.6g}",
+                    "holder_bounds": f"{rep.tight_holder:.6g}",
+                    "convexity": f"{rep.tight_convexity:.6g}",
+                    "remainder": f"{rep.tight_remainder:.6g}",
                 },
             }
         ),
     )
-    if violations:
-        raise ContractViolation(violations[0])
+    if rep.first_violation is not None:
+        raise ContractViolation(rep.first_violation)
 
 
 def _cmd_hessian(cfg: RunConfig) -> None:

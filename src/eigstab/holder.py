@@ -22,11 +22,17 @@ from .exceptions import (
 )
 from .measure import (
     MeasFunction,
+    WeightedMeasure,
+    _check_same_measure,
     conjugate_exponent,
-    duality_map,
-    lp_norm,
-    pairing,
+    duality_map_rows,
+    lp_norm_rows,
+    pairing_rows,
+    real_rows,
+    require_finite,
+    scalar_pow,
 )
+from .sampling import smooth_rows, unit_rows
 
 #: absolute tolerance on the unit-norm preconditions
 UNIT_NORM_TOL = 1e-10
@@ -35,19 +41,29 @@ UNIT_NORM_TOL = 1e-10
 PHASE_TOL = 1e-14
 
 
-def _require_unit(f: MeasFunction, p: float, name: str) -> None:
-    nrm = lp_norm(f, p)
-    if abs(nrm - 1.0) > UNIT_NORM_TOL:
+def _require_unit(nrm, p: float, name: str) -> None:
+    off = np.abs(nrm - 1.0) > UNIT_NORM_TOL
+    if off.any():
         raise PreconditionError(
-            f"{name} must be a unit vector in L^{p:g} (norm = {nrm!r})"
+            f"{name} must be a unit vector in L^{p:g} (norm = {float(nrm[off][0])!r})"
         )
+
+
+def _one_row(*fs: MeasFunction):
+    """Values of same-measure functions as one-row arrays, and the weights."""
+    for other in fs[1:]:
+        _check_same_measure(fs[0], other)
+    return (*(f.values[None] for f in fs), fs[0].measure.weights)
+
+
+def aligning_phase_rows(z):
+    """theta in [0, 2*pi) with e^(i*theta) * z >= 0, elementwise; 0 for tiny |z|."""
+    return np.where(np.abs(z) < PHASE_TOL, 0.0, np.mod(-np.angle(z), 2.0 * np.pi))
 
 
 def aligning_phase(z: complex) -> float:
     """theta in [0, 2*pi) with e^(i*theta) * z >= 0; 0 for tiny |z|."""
-    if abs(z) < PHASE_TOL:
-        return 0.0
-    return float(np.mod(-np.angle(z), 2.0 * np.pi))
+    return float(aligning_phase_rows(np.asarray(z)))
 
 
 @dataclass(frozen=True)
@@ -62,6 +78,29 @@ class HolderReport:
     theta: float
 
 
+def holder_rows(f_rows, g_rows, weights, p: float):
+    """Row-wise :func:`holder_report`: arrays (lhs, deficit, bound_main1,
+    bound_main2, theta)."""
+    if p < 2.0:
+        raise InvalidExponentError(f"holder_report requires p >= 2, got {p}")
+    pc = conjugate_exponent(p)
+    _require_unit(lp_norm_rows(f_rows, weights, p), p, "f")
+    _require_unit(lp_norm_rows(g_rows, weights, pc), pc, "g")
+
+    z = pairing_rows(f_rows, g_rows, weights)
+    theta = aligning_phase_rows(z)
+    phase = np.exp(1j * theta)[:, None]
+    lhs = np.hypot(z.real, z.imag)  # abs(complex), bit for bit
+    deficit = 1.0 - lhs
+
+    diff1 = require_finite(duality_map_rows(f_rows, weights, p) - phase * g_rows)
+    bound_main1 = (pc - 1.0) / 4.0 * scalar_pow(lp_norm_rows(diff1, weights, pc), 2.0)
+
+    diff2 = require_finite(phase * f_rows - duality_map_rows(g_rows, weights, pc))
+    bound_main2 = scalar_pow(lp_norm_rows(diff2, weights, p), p) / (p * 2.0 ** (p - 1.0))
+    return lhs, deficit, bound_main1, bound_main2, theta
+
+
 def holder_report(f: MeasFunction, g: MeasFunction, p: float) -> HolderReport:
     """Evaluate both remainder bounds for unit vectors f in L^p, g in L^p'.
 
@@ -71,60 +110,53 @@ def holder_report(f: MeasFunction, g: MeasFunction, p: float) -> HolderReport:
     Both are guaranteed lower bounds for the deficit 1 - |int f g| when
     p >= 2.
     """
-    if p < 2.0:
-        raise InvalidExponentError(f"holder_report requires p >= 2, got {p}")
-    pc = conjugate_exponent(p)
-    _require_unit(f, p, "f")
-    _require_unit(g, pc, "g")
-
-    z = pairing(f, g)
-    theta = aligning_phase(z)
-    phase = np.exp(1j * theta)
-    lhs = abs(z)
-    deficit = 1.0 - lhs
-
-    df = duality_map(f, p)
-    diff1 = MeasFunction(g.measure, df.values - phase * g.values)
-    bound_main1 = (pc - 1.0) / 4.0 * lp_norm(diff1, pc) ** 2
-
-    dg = duality_map(g, pc)
-    diff2 = MeasFunction(f.measure, phase * f.values - dg.values)
-    bound_main2 = lp_norm(diff2, p) ** p / (p * 2.0 ** (p - 1.0))
-
-    return HolderReport(
-        lhs=lhs,
-        deficit=deficit,
-        bound_main1=float(bound_main1),
-        bound_main2=float(bound_main2),
-        theta=theta,
-    )
+    row = holder_rows(*_one_row(f, g), p)
+    return HolderReport(*(float(x[0]) for x in row))
 
 
-def _check_admissible_pair(psi: MeasFunction, U: MeasFunction, q: float) -> float:
+def _gap_rows(psi_rows, u_rows, weights, q: float):
+    """(H, ||psi||_q) of each row pair, after the admissibility checks."""
     if q <= 2.0:
         raise InvalidExponentError(f"need q > 2, got {q}")
-    uvals = U.values
-    if np.iscomplexobj(uvals) and not np.allclose(uvals.imag, 0.0):
+    if not real_rows(u_rows).all():
         raise PreconditionError("U must be real-valued")
-    if np.any(np.real(uvals) < 0.0):
+    uvals = np.real(u_rows)
+    if (uvals < 0.0).any():
         raise PreconditionError("U must be nonnegative")
     dual = q / (q - 2.0)
-    nrm = lp_norm(U, dual)
-    if abs(nrm - 1.0) > UNIT_NORM_TOL:
+    nrm = lp_norm_rows(u_rows, weights, dual)
+    off = np.abs(nrm - 1.0) > UNIT_NORM_TOL
+    if off.any():
         raise PreconditionError(
-            f"U must have unit L^{dual:g} norm (norm = {nrm!r})"
+            f"U must have unit L^{dual:g} norm (norm = {float(nrm[off][0])!r})"
         )
-    psiq = lp_norm(psi, q)
-    if psiq == 0.0:
+    psiq = lp_norm_rows(psi_rows, weights, q)
+    if (psiq == 0.0).any():
         raise DegenerateInputError("psi must not be identically zero")
-    return psiq
+    H = scalar_pow(psiq, 2.0) - np.sum(weights * uvals * np.abs(psi_rows) ** 2, axis=-1)
+    return H, psiq
 
 
 def h_functional(psi: MeasFunction, U: MeasFunction, q: float) -> float:
     """||psi||_q^2 - int U |psi|^2, nonnegative for admissible (psi, U)."""
-    psiq = _check_admissible_pair(psi, U, q)
-    w = psi.measure.weights
-    return float(psiq**2 - np.sum(w * np.real(U.values) * np.abs(psi.values) ** 2))
+    return float(_gap_rows(*_one_row(psi, U), q)[0][0])
+
+
+def remainder_rows(psi_rows, u_rows, weights, q: float, boundary_alt: bool = False):
+    """Row-wise :func:`remainder_bounds`: arrays (B, H)."""
+    H, psiq = _gap_rows(psi_rows, u_rows, weights, q)
+    uvals = np.real(u_rows)
+    scaled = np.abs(psi_rows) / psiq[:, None]
+
+    if q > 4.0 or (q == 4.0 and not boundary_alt):
+        diff = require_finite(scaled ** (q - 2.0) - uvals)
+        B = scalar_pow(psiq, 2.0) / (2.0 * (q - 2.0)) \
+            * scalar_pow(lp_norm_rows(diff, weights, q / (q - 2.0)), 2.0)
+    else:
+        diff = require_finite(scaled**2 - uvals ** (2.0 / (q - 2.0)))
+        B = (q - 2.0) / 8.0 * scalar_pow(psiq, 2.0) \
+            * scalar_pow(lp_norm_rows(diff, weights, q / 2.0), 2.0)
+    return B, H
 
 
 def remainder_bounds(
@@ -138,23 +170,23 @@ def remainder_bounds(
     (q-2)/8.  At q = 4 both apply; the first is returned unless
     ``boundary_alt`` is set.
     """
-    psiq = _check_admissible_pair(psi, U, q)
-    H = h_functional(psi, U, q)
-    uvals = np.real(U.values)
-    absq = np.abs(psi.values)
+    B, H = remainder_rows(*_one_row(psi, U), q, boundary_alt)
+    return float(B[0]), float(H[0])
 
-    use_high = q > 4.0 or (q == 4.0 and not boundary_alt)
-    if use_high:
-        diff = MeasFunction(
-            U.measure, (absq / psiq) ** (q - 2.0) - uvals
-        )
-        B = psiq**2 / (2.0 * (q - 2.0)) * lp_norm(diff, q / (q - 2.0)) ** 2
+
+def convexity_rows(u_rows, v_rows, weights, p: float):
+    """Row-wise :func:`uniform_convexity_gap`: arrays (gap, lower)."""
+    if p <= 1.0:
+        raise InvalidExponentError(f"need p > 1, got {p}")
+    _require_unit(lp_norm_rows(u_rows, weights, p), p, "u")
+    _require_unit(lp_norm_rows(v_rows, weights, p), p, "v")
+    gap = 1.0 - lp_norm_rows(require_finite(0.5 * (u_rows + v_rows)), weights, p)
+    dnorm = lp_norm_rows(require_finite(u_rows - v_rows), weights, p)
+    if p <= 2.0:
+        lower = (p - 1.0) / 8.0 * scalar_pow(dnorm, 2.0)
     else:
-        diff = MeasFunction(
-            U.measure, (absq / psiq) ** 2 - uvals ** (2.0 / (q - 2.0))
-        )
-        B = (q - 2.0) / 8.0 * psiq**2 * lp_norm(diff, q / 2.0) ** 2
-    return float(B), H
+        lower = scalar_pow(dnorm, p) / (p * 2.0**p)
+    return gap, lower
 
 
 def uniform_convexity_gap(u: MeasFunction, v: MeasFunction, p: float):
@@ -164,18 +196,26 @@ def uniform_convexity_gap(u: MeasFunction, v: MeasFunction, p: float):
     (1/(p 2^p)) ||u-v||_p^p for p >= 2 (at p = 2 the two coincide on the
     relevant scale; the first is used).
     """
+    gap, lower = convexity_rows(*_one_row(u, v), p)
+    return float(gap[0]), float(lower[0])
+
+
+def duality_continuity_rows(f_rows, g_rows, weights, p: float):
+    """Row-wise :func:`duality_continuity_check`: arrays (lhs, rhs)."""
     if p <= 1.0:
         raise InvalidExponentError(f"need p > 1, got {p}")
-    _require_unit(u, p, "u")
-    _require_unit(v, p, "v")
-    mid = MeasFunction(u.measure, 0.5 * (u.values + v.values))
-    gap = 1.0 - lp_norm(mid, p)
-    dnorm = lp_norm(u - v, p)
-    if p <= 2.0:
-        lower = (p - 1.0) / 8.0 * dnorm**2
+    nf, ng = lp_norm_rows(f_rows, weights, p), lp_norm_rows(g_rows, weights, p)
+    if (nf == 0.0).any() or (ng == 0.0).any():
+        raise DegenerateInputError("duality_continuity_check needs nonzero inputs")
+    pc = conjugate_exponent(p)
+    ddiff = duality_map_rows(f_rows, weights, p) - duality_map_rows(g_rows, weights, p)
+    lhs = lp_norm_rows(require_finite(ddiff), weights, pc)
+    t = lp_norm_rows(require_finite(f_rows - g_rows), weights, p) / (nf + ng)
+    if p >= 2.0:
+        rhs = 4.0 * (p - 1.0) * t
     else:
-        lower = dnorm**p / (p * 2.0**p)
-    return float(gap), float(lower)
+        rhs = 2.0 * scalar_pow(pc * t, p - 1.0)
+    return lhs, rhs
 
 
 def duality_continuity_check(f: MeasFunction, g: MeasFunction, p: float):
@@ -185,19 +225,8 @@ def duality_continuity_check(f: MeasFunction, g: MeasFunction, p: float):
     rhs = 4 (p-1) t for p >= 2 and 2 (p' t)^(p-1) for 1 < p <= 2,
     where t = ||f-g||_p / (||f||_p + ||g||_p).
     """
-    if p <= 1.0:
-        raise InvalidExponentError(f"need p > 1, got {p}")
-    nf, ng = lp_norm(f, p), lp_norm(g, p)
-    if nf == 0.0 or ng == 0.0:
-        raise DegenerateInputError("duality_continuity_check needs nonzero inputs")
-    pc = conjugate_exponent(p)
-    lhs = lp_norm(duality_map(f, p) - duality_map(g, p), pc)
-    t = lp_norm(f - g, p) / (nf + ng)
-    if p >= 2.0:
-        rhs = 4.0 * (p - 1.0) * t
-    else:
-        rhs = 2.0 * (pc * t) ** (p - 1.0)
-    return float(lhs), float(rhs)
+    lhs, rhs = duality_continuity_rows(*_one_row(f, g), p)
+    return float(lhs[0]), float(rhs[0])
 
 
 @dataclass(frozen=True)
@@ -215,27 +244,153 @@ class PowerComparisonReport:
     high_rhs: float | None
 
 
-def power_comparison_check(f: MeasFunction, g: MeasFunction, q: float):
+def power_comparison_rows(f_rows, g_rows, weights, q: float):
+    """Row-wise :func:`power_comparison_check`: arrays (quad_lhs, quad_rhs,
+    high_lhs, high_rhs), the last two None for q < 4."""
     if q < 2.0:
         raise InvalidExponentError(f"need q >= 2, got {q}")
-    nf, ng = lp_norm(f, q), lp_norm(g, q)
-    if nf == 0.0 or ng == 0.0:
+    nf, ng = lp_norm_rows(f_rows, weights, q), lp_norm_rows(g_rows, weights, q)
+    if (nf == 0.0).any() or (ng == 0.0).any():
         raise DegenerateInputError("power_comparison_check needs nonzero inputs")
-    m = max(nf, ng)
-    af, ag = np.abs(f.values), np.abs(g.values)
-    quad_diff = MeasFunction(f.measure, (af / nf) ** 2 - (ag / ng) ** 2)
-    quad_lhs = m * lp_norm(quad_diff, q / 2.0)
-    quad_rhs = 4.0 * lp_norm(f - g, q)
+    m = np.maximum(nf, ng)
+    sf = np.abs(f_rows) / nf[:, None]
+    sg = np.abs(g_rows) / ng[:, None]
+    dist = lp_norm_rows(require_finite(f_rows - g_rows), weights, q)
+    quad_lhs = m * lp_norm_rows(require_finite(sf**2 - sg**2), weights, q / 2.0)
+    quad_rhs = 4.0 * dist
     high_lhs = high_rhs = None
     if q >= 4.0:
-        high_diff = MeasFunction(
-            f.measure, (af / nf) ** (q - 2.0) - (ag / ng) ** (q - 2.0)
-        )
-        high_lhs = m * lp_norm(high_diff, q / (q - 2.0))
-        high_rhs = 4.0 * (q - 2.0) * lp_norm(f - g, q)
-    return PowerComparisonReport(
-        quad_lhs=float(quad_lhs),
-        quad_rhs=float(quad_rhs),
-        high_lhs=None if high_lhs is None else float(high_lhs),
-        high_rhs=None if high_rhs is None else float(high_rhs),
+        high_diff = require_finite(sf ** (q - 2.0) - sg ** (q - 2.0))
+        high_lhs = m * lp_norm_rows(high_diff, weights, q / (q - 2.0))
+        high_rhs = 4.0 * (q - 2.0) * dist
+    return quad_lhs, quad_rhs, high_lhs, high_rhs
+
+
+def power_comparison_check(f: MeasFunction, g: MeasFunction, q: float):
+    rows = power_comparison_rows(*_one_row(f, g), q)
+    return PowerComparisonReport(*(None if x is None else float(x[0]) for x in rows))
+
+
+# ---------------------------------------------------------------------------
+# fuzzer
+# ---------------------------------------------------------------------------
+
+#: slack granted to the fuzzed inequalities
+FUZZ_TOL = 1e-10
+
+FUZZ_EXPONENTS = (2.0, 2.5, 3.0, 4.0, 6.0)
+
+#: samples drawn and evaluated together; memory grows with it (about
+#: 10 KiB per sample of draws), the per-call overhead shrinks with it
+FUZZ_CHUNK = 100
+
+_FUZZ_POINTS = 64
+_WINDOW = 5
+#: smoothed draws per sample: f (2), g (2), u, v, psi (2), U
+_DRAWS = 9
+
+
+@dataclass(frozen=True)
+class FuzzReport:
+    """Outcome of :func:`fuzz_inequalities`.
+
+    ``first_violation`` describes the failed check of the lowest sample
+    index (checks in the order main1, main2, convexity, duality,
+    power-quad, power-high, gap functional, remainder); the tightness
+    fields are the largest bound-to-quantity ratios seen.
+    """
+
+    violations: int
+    first_violation: str | None
+    tight_holder: float
+    tight_convexity: float
+    tight_remainder: float
+
+
+def _max_ratio(num, den, keep) -> float:
+    return float(np.max(num[keep] / den[keep], initial=0.0))
+
+
+def _fuzz_group(rows, p: float, weights):
+    """Checks of one exponent group, rows of smoothed draws (R, 9, 64):
+    (violation count, (row, message) of the first violation or None, the
+    three tightness maxima)."""
+    tol = FUZZ_TOL
+    pc = conjugate_exponent(p)
+    q = 2.0 * p / (p - 1.0)
+    f = unit_rows(rows[:, 0] + 1j * rows[:, 1], weights, p)
+    g = unit_rows(rows[:, 2] + 1j * rows[:, 3], weights, pc)
+    u = unit_rows(rows[:, 4], weights, p)
+    v = unit_rows(rows[:, 5], weights, p)
+    psi = unit_rows(rows[:, 6] + 1j * rows[:, 7], weights, q)
+    U = unit_rows(np.abs(rows[:, 8]), weights, p)
+
+    _, deficit, main1, main2, _ = holder_rows(f, g, weights, p)
+    gap, lower = convexity_rows(u, v, weights, p)
+    dlhs, drhs = duality_continuity_rows(f, g * 0.5 + f * 0.5, weights, p)
+    quad_lhs, quad_rhs, high_lhs, high_rhs = power_comparison_rows(f, g, weights, q)
+    B, H = remainder_rows(psi, U, weights, q)
+
+    def over(label, lhs, rhs):
+        return lhs > rhs + tol, lambda r: f"{label} {float(lhs[r])!r} > {float(rhs[r])!r}"
+
+    checks = [
+        over(f" p={p:g}: main1", main1, deficit),
+        over(f" p={p:g}: main2", main2, deficit),
+        over(f" p={p:g}: convexity", lower, gap),
+        over(f" p={p:g}: duality", dlhs, drhs),
+        over(": power-quad", quad_lhs, quad_rhs),
+    ]
+    if high_lhs is not None:
+        checks.append(over(": power-high", high_lhs, high_rhs))
+    checks.append((H < -tol, lambda r: f" q={q:g}: gap functional {float(H[r])!r} < 0"))
+    checks.append(over(f" q={q:g}: remainder", B, H))
+
+    masks = np.array([mask for mask, _ in checks])
+    first = None
+    if masks.any():
+        r = int(np.argmax(masks.any(axis=0)))
+        first = r, next(text(r) for mask, text in checks if mask[r])
+    tight = (
+        max(_max_ratio(main1, deficit, deficit > tol), _max_ratio(main2, deficit, deficit > tol)),
+        _max_ratio(lower, gap, gap > tol),
+        _max_ratio(B, H, H > tol),
     )
+    return int(masks.sum()), first, tight
+
+
+def fuzz_inequalities(samples: int, seed: int, exponents=FUZZ_EXPONENTS) -> FuzzReport:
+    """Check every inequality of this module on ``samples`` random unit
+    inputs on the uniform probability measure on 64 points.
+
+    Sample i uses the exponent p = exponents[i % len(exponents)] and
+    consumes 9 draws of 68 standard normals from ``default_rng(seed)``,
+    smoothed to 64 points: f and g (complex, unit in L^p and L^p'), u and
+    v (real, unit in L^p), psi (complex, unit in L^q with q = 2p/(p-1)) and
+    U (nonnegative, unit in L^p).  Samples are drawn FUZZ_CHUNK at a time
+    and each exponent group of a chunk is checked as one array of rows.
+    A draw whose norm is at most DRAW_NORM_FLOOR raises
+    :class:`DegenerateInputError`; it is never redrawn.
+    """
+    k = len(exponents)
+    chunk = min(max(k, FUZZ_CHUNK // k * k), max(samples, 1))
+    weights = WeightedMeasure.uniform_probability(_FUZZ_POINTS).weights
+    rng = np.random.default_rng(seed)
+    raw = np.empty((chunk, _DRAWS, _FUZZ_POINTS + _WINDOW - 1))
+    violations = 0
+    first = None  # (sample index, message)
+    tight = (0.0, 0.0, 0.0)
+    for start in range(0, samples, chunk):
+        n = min(chunk, samples - start)
+        rng.standard_normal(out=raw[:n])
+        for j in range(min(k, n)):
+            # the samples start + j, start + j + k, ... share exponents[j]
+            rows = smooth_rows(raw[j:n:k], _WINDOW)
+            count, found, group_tight = _fuzz_group(rows, float(exponents[j]), weights)
+            violations += count
+            tight = tuple(map(max, tight, group_tight))
+            if found is not None:
+                i = start + j + k * found[0]
+                if first is None or i < first[0]:
+                    first = i, f"sample {i}{found[1]}"
+    return FuzzReport(violations, None if first is None else first[1], *tight)

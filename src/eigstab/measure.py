@@ -20,13 +20,26 @@ from .exceptions import (
 )
 
 
-def weighted_norm(vals, weights, p: float) -> float:
-    """(sum_i w_i vals_i^p)^(1/p) for vals >= 0; the max is factored out to
-    avoid overflow for large p."""
-    m = vals.max()
-    if m == 0.0:
-        return 0.0
-    return float(m * (weights @ (vals / m) ** p) ** (1.0 / p))
+def scalar_pow(x, e: float):
+    """x ** e for a 1-d array, element by element as Python floats.
+
+    numpy's array power can take a SIMD path whose last bit differs from
+    the C library's pow; the row-wise kernels raise their per-row scalars
+    with this, so each row gets what a one-function, scalar computation
+    gets.
+    """
+    return np.array([v**e for v in x.tolist()])
+
+
+def weighted_norm(vals, weights, p: float):
+    """(sum_i w_i vals_i^p)^(1/p) for vals >= 0, row by row along the last
+    axis; the max of each row is factored out to avoid overflow for large
+    p.  A 1-d input gives a float, an (R, n) input an (R,) array."""
+    rows = vals.reshape(-1, vals.shape[-1])
+    m = rows.max(axis=1)
+    m[m == 0.0] = 1.0  # a zero row scales by 1 and gives 0
+    out = m * scalar_pow(np.vecdot((rows / m[:, None]) ** p, weights), 1.0 / p)
+    return float(out[0]) if vals.ndim == 1 else out
 
 
 def conjugate_exponent(p: float) -> float:
@@ -94,14 +107,13 @@ class MeasFunction:
             raise DimensionMismatchError(
                 f"{v.size} values on a measure with {self.measure.n} points"
             )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("function values must be finite")
+        require_finite(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
     def is_real(self) -> bool:
-        return not np.iscomplexobj(self.values) or np.allclose(self.values.imag, 0.0)
+        return bool(real_rows(self.values))
 
     def map(self, fn) -> "MeasFunction":
         return MeasFunction(self.measure, fn(self.values))
@@ -129,35 +141,82 @@ def _check_same_measure(f: MeasFunction, g: MeasFunction) -> None:
         raise DimensionMismatchError("functions live on different measures")
 
 
-def lp_norm(f: MeasFunction, p: float) -> float:
-    """(sum_i w_i |f_i|^p)^(1/p)."""
+# ---------------------------------------------------------------------------
+# row-wise kernels: each takes an (R, n) array of function values, one
+# function per row, and the measure's weights; a single function is the
+# one-row case
+# ---------------------------------------------------------------------------
+
+#: |imag| at or below this on every point makes a row real-valued (the
+#: default atol of np.allclose against 0)
+REAL_ATOL = 1e-8
+
+
+def require_finite(vals):
+    """Return vals; raise ValueError if any value is not finite."""
+    if not np.isfinite(vals).all():
+        raise ValueError("function values must be finite")
+    return vals
+
+
+def real_rows(vals):
+    """Per-row flag: the row is real-valued."""
+    if not np.iscomplexobj(vals):
+        return np.ones(vals.shape[:-1], dtype=bool)
+    return (np.abs(vals.imag) <= REAL_ATOL).all(axis=-1)
+
+
+def lp_norm_rows(vals, weights, p: float):
+    """(sum_i w_i |f_i|^p)^(1/p) of each row."""
     if not np.isfinite(p) or p < 1.0:
         raise InvalidExponentError(f"lp_norm needs finite p >= 1, got {p}")
-    return weighted_norm(np.abs(f.values), f.measure.weights, p)
+    return weighted_norm(np.abs(vals), weights, p)
+
+
+def pairing_rows(f_rows, g_rows, weights):
+    """Bilinear pairing sum_i w_i f_i g_i (no conjugation) of each row pair."""
+    return np.sum(weights * f_rows * g_rows, axis=-1)
+
+
+def duality_map_rows(vals, weights, p: float):
+    """D_p of each row; see :func:`duality_map`.  A complex row that is
+    real-valued gets imaginary part 0, and the result is real when every
+    row is."""
+    if not np.isfinite(p) or p <= 1.0:
+        raise InvalidExponentError(f"duality_map needs finite p > 1, got {p}")
+    nrm = lp_norm_rows(vals, weights, p)
+    if (nrm == 0.0).any():
+        raise DegenerateInputError("duality_map of the zero function")
+    a = np.abs(vals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(a > 0.0, (a / nrm[:, None]) ** (p - 2.0), 0.0) * np.conj(vals) \
+            * scalar_pow(nrm, -1.0)[:, None]
+    out = np.where(a > 0.0, out, 0.0)
+    if np.iscomplexobj(out):
+        real = real_rows(vals)
+        if real.all():
+            out = out.real
+        else:
+            out.imag[real] = 0.0
+    return require_finite(out)
+
+
+def lp_norm(f: MeasFunction, p: float) -> float:
+    """(sum_i w_i |f_i|^p)^(1/p)."""
+    return float(lp_norm_rows(f.values[None], f.measure.weights, p)[0])
 
 
 def pairing(f: MeasFunction, g: MeasFunction) -> complex:
     """Bilinear pairing sum_i w_i f_i g_i (no conjugation)."""
     _check_same_measure(f, g)
-    return complex(np.sum(f.measure.weights * f.values * g.values))
+    return complex(pairing_rows(f.values[None], g.values[None], f.measure.weights)[0])
 
 
 def duality_map(f: MeasFunction, p: float) -> MeasFunction:
     """The unit dual vector D_p(f) = ||f||_p^(1-p) |f|^(p-2) conj(f).
 
     Satisfies ||D_p(f)||_p' = 1 and pairing(D_p(f), f) = ||f||_p.  At zeros
-    of f the value is 0 (the limit of the formula).
+    of f the value is 0 (the limit of the formula); a real-valued f has a
+    real dual vector.
     """
-    if not np.isfinite(p) or p <= 1.0:
-        raise InvalidExponentError(f"duality_map needs finite p > 1, got {p}")
-    nrm = lp_norm(f, p)
-    if nrm == 0.0:
-        raise DegenerateInputError("duality_map of the zero function")
-    a = np.abs(f.values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(a > 0.0, (a / nrm) ** (p - 2.0), 0.0) * np.conj(f.values) \
-            * nrm ** (-1.0)
-    out = np.where(a > 0.0, out, 0.0)
-    if f.is_real:
-        out = out.real
-    return MeasFunction(f.measure, out)
+    return MeasFunction(f.measure, duality_map_rows(f.values[None], f.measure.weights, p)[0])

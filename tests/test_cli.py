@@ -233,3 +233,142 @@ def test_eigen_invalid_grid_flags(capsys, tmp_path, flags):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+_HOLDER_GOLDENS = [
+    (
+        ("--samples", "300", "--seed", "0"),
+        '{"samples": 300, "seed": 0, "exponents": [2.0, 2.5, 3.0, 4.0, 6.0], '
+        '"violations": 0, "tightness": {"holder_bounds": "0.5", '
+        '"convexity": "0.93511", "remainder": "0.5"}}\n',
+    ),
+    (
+        ("--samples", "100", "--seed", "1", "--p", "3"),
+        '{"samples": 100, "seed": 1, "exponents": [3.0], "violations": 0, '
+        '"tightness": {"holder_bounds": "0.296475", "convexity": "0.547058", '
+        '"remainder": "0.398445"}}\n',
+    ),
+    (
+        # not a multiple of the fuzzer's chunk
+        ("--samples", "1003", "--seed", "4"),
+        '{"samples": 1003, "seed": 4, "exponents": [2.0, 2.5, 3.0, 4.0, 6.0], '
+        '"violations": 0, "tightness": {"holder_bounds": "0.5", '
+        '"convexity": "0.926826", "remainder": "0.5"}}\n',
+    ),
+    (
+        ("--samples", "7", "--seed", "2", "--p", "2.5"),
+        '{"samples": 7, "seed": 2, "exponents": [2.5], "violations": 0, '
+        '"tightness": {"holder_bounds": "0.352537", "convexity": "0.631128", '
+        '"remainder": "0.430634"}}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, expected", _HOLDER_GOLDENS)
+def test_holder_verify_golden_output(capsys, flags, expected):
+    """The exact report of the per-sample fuzz loop that the batched one replaced."""
+    code, out, _ = run_cli(capsys, "holder-verify", *flags)
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("constants", {"gamma": "1.5", "d": 1}),
+        ("constants", {"gamma": 1.5, "d": 1, "grid_n": 1000.5}),
+        ("holder-verify", {"samples": "10"}),
+    ],
+)
+def test_config_value_types_rejected(capsys, tmp_path, command, doc):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def _per_sample_violations(samples, seed, tol):
+    """The fuzz loop one sample at a time through the public per-pair
+    functions: (violation count, first violation message)."""
+    from eigstab.holder import (
+        FUZZ_EXPONENTS,
+        duality_continuity_check,
+        holder_report,
+        power_comparison_check,
+        remainder_bounds,
+        uniform_convexity_gap,
+    )
+    from eigstab.measure import WeightedMeasure, conjugate_exponent
+    from eigstab.sampling import random_nonnegative_unit, random_unit_function
+
+    rng = np.random.default_rng(seed)
+    mu = WeightedMeasure.uniform_probability(64)
+    found = []
+    for i in range(samples):
+        p = FUZZ_EXPONENTS[i % len(FUZZ_EXPONENTS)]
+        pc = conjugate_exponent(p)
+        q = 2.0 * p / (p - 1.0)
+        f = random_unit_function(rng, mu, p, complex_values=True)
+        g = random_unit_function(rng, mu, pc, complex_values=True)
+        rep = holder_report(f, g, p)
+        for tag, bound in (("main1", rep.bound_main1), ("main2", rep.bound_main2)):
+            if bound > rep.deficit + tol:
+                found.append(f"sample {i} p={p:g}: {tag} {bound!r} > {rep.deficit!r}")
+        u = random_unit_function(rng, mu, p)
+        v = random_unit_function(rng, mu, p)
+        gap, lower = uniform_convexity_gap(u, v, p)
+        if lower > gap + tol:
+            found.append(f"sample {i} p={p:g}: convexity {lower!r} > {gap!r}")
+        lhs, rhs = duality_continuity_check(f, 0.5 * g + 0.5 * f, p)
+        if lhs > rhs + tol:
+            found.append(f"sample {i} p={p:g}: duality {lhs!r} > {rhs!r}")
+        pw = power_comparison_check(f, g, q)
+        if pw.quad_lhs > pw.quad_rhs + tol:
+            found.append(f"sample {i}: power-quad {pw.quad_lhs!r} > {pw.quad_rhs!r}")
+        if pw.high_lhs is not None and pw.high_lhs > pw.high_rhs + tol:
+            found.append(f"sample {i}: power-high {pw.high_lhs!r} > {pw.high_rhs!r}")
+        psi = random_unit_function(rng, mu, q, complex_values=True)
+        U = random_nonnegative_unit(rng, mu, p)
+        B, H = remainder_bounds(psi, U, q)
+        if H < -tol:
+            found.append(f"sample {i} q={q:g}: gap functional {H!r} < 0")
+        if B > H + tol:
+            found.append(f"sample {i} q={q:g}: remainder {B!r} > {H!r}")
+    return len(found), (found[0] if found else None)
+
+
+# -0.03: the first violation is the convexity check of sample 5;
+# -0.1: the convexity check of sample 0, after a main1 and main2 that pass
+@pytest.mark.parametrize("tol", [-0.03, -0.1])
+def test_holder_verify_first_violation(capsys, monkeypatch, tol):
+    import eigstab.holder
+
+    samples, seed = 250, 3  # three chunks, the last one partial
+    count, first = _per_sample_violations(samples, seed, tol)
+    assert first is not None and not first.startswith("sample 0 p=2: main1")
+    monkeypatch.setattr(eigstab.holder, "FUZZ_TOL", tol)
+    code, out, err = run_cli(
+        capsys, "holder-verify", "--samples", str(samples), "--seed", str(seed)
+    )
+    assert code == 1
+    assert json.loads(out)["violations"] == count
+    assert err == f"contract violation: {first}\n"
+
+
+class _ZeroNormals:
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
+
+
+def test_holder_verify_zero_draw_is_degenerate(capsys, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _ZeroNormals())
+    code, out, err = run_cli(capsys, "holder-verify", "--samples", "10")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("contract violation: random draw with L^2 norm")
+    assert "Traceback" not in err
