@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -69,6 +70,10 @@ class RunConfig:
     p: float | None = None
 
 
+# Built once per process: a parser is a web of reference cycles, and one
+# per call left garbage that only a full collection frees, so the memory of
+# a process calling main() in a loop crept up between collections.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eigstab", description="sharp eigenvalue bounds and their stability"

@@ -372,3 +372,18 @@ def test_holder_verify_zero_draw_is_degenerate(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("contract violation: random draw with L^2 norm")
     assert "Traceback" not in err
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    """Repeated in-process runs must not pile up garbage that only the
+    cycle collector frees; it held the memory of a fuzz loop calling main()."""
+    import gc
+
+    run_cli(capsys, "holder-verify", "--samples", "5")
+    gc.collect()
+    gc.disable()
+    try:
+        run_cli(capsys, "holder-verify", "--samples", "5")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
