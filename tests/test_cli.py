@@ -358,7 +358,15 @@ def test_holder_verify_first_violation(capsys, monkeypatch, tol):
 
 
 class _ZeroNormals:
+    """A generator whose every normal is 0; it gives up after 100 calls, so
+    code that redraws degenerate samples fails instead of looping."""
+
+    calls = 0
+
     def standard_normal(self, size=None, out=None):
+        self.calls += 1
+        if self.calls > 100:
+            raise RuntimeError("redrawing forever")
         if out is None:
             return np.zeros(size)
         out[...] = 0.0
