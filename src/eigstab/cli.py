@@ -155,14 +155,15 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 value = _config_value(key, _CONFIG_TYPES[attr], value)
             setattr(cfg, attr, value)
     # explicit flags win over the config file
-    for attr in (
-        "gamma", "q", "d", "grid_l", "grid_n", "tol",
-        "seed", "samples", "out", "format", "potential", "p",
-    ):
+    for attr in _CONFIG_TYPES:
         val = getattr(args, attr)
         if val is not None:
             setattr(cfg, attr, val)
 
+    for attr, kind in _CONFIG_TYPES.items():
+        val = getattr(cfg, attr)
+        if kind is float and val is not None and not np.isfinite(val):
+            raise ConfigError(f"{attr} must be finite, got {val!r}")
     if cfg.gamma is not None and cfg.q is not None:
         raise ConfigError("give exactly one of --gamma and --q")
     if cfg.d < 1:

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.special import gamma as gamma_fn
 
 from .exceptions import DimensionMismatchError, UnsupportedChannelError
@@ -246,14 +247,66 @@ def symmetric_tridiagonal(grid: Grid, ell: int = 0, potential=None):
     return main, off
 
 
+class _Tridiag:
+    """Tridiagonal matrix plus an optional rank-one term rho u u^T.
+
+    Row i holds main[i] on the diagonal, upper[i] in column i+1 and
+    lower[i-1] in column i-1; ``lower`` defaults to ``upper`` (the
+    symmetric case).  Serves the nodal form (main, upper, lower) of
+    :func:`laplacian_tridiagonal` and the symmetrized form (diag, off) of
+    :func:`symmetric_tridiagonal` alike.
+    """
+
+    def __init__(self, main, upper, lower=None, rank1=None):
+        self.main = np.asarray(main, dtype=float)
+        self.upper = np.asarray(upper, dtype=float)
+        self.lower = self.upper if lower is None else np.asarray(lower, dtype=float)
+        self.n = self.main.size
+        self.rank1 = None
+        if rank1 is not None:
+            rho, u = rank1
+            self.rank1 = (float(rho), np.asarray(u, dtype=float))
+
+    @property
+    def opnorm(self) -> float:
+        """Largest absolute row sum of the tridiagonal part plus |rho| u.u;
+        for a symmetric matrix, a bound on its 2-norm."""
+        bound = np.abs(self.main)
+        bound[:-1] += np.abs(self.upper)
+        bound[1:] += np.abs(self.lower)
+        top = float(bound.max())
+        if self.rank1 is not None:
+            rho, u = self.rank1
+            top += abs(rho) * float(u @ u)
+        return top
+
+    def matvec(self, v):
+        out = self.main * v
+        out[:-1] += self.upper * v[1:]
+        out[1:] += self.lower * v[:-1]
+        if self.rank1 is not None:
+            rho, u = self.rank1
+            out += rho * (u @ v) * u
+        return out
+
+    def solve_shifted(self, sigma, rhs):
+        """(A - sigma I)^(-1) rhs via banded LU and Sherman-Morrison."""
+        ab = np.zeros((3, self.n))
+        ab[0, 1:] = self.upper
+        ab[1] = self.main - sigma
+        ab[2, :-1] = self.lower
+        if self.rank1 is None:
+            return sla.solve_banded((1, 1), ab, rhs)
+        rho, u = self.rank1
+        stacked = sla.solve_banded((1, 1), ab, np.column_stack([rhs, u]))
+        y, z = stacked[:, 0], stacked[:, 1]
+        denom = 1.0 + rho * (u @ z)
+        return y - (rho * (u @ y) / denom) * z
+
+
 def laplacian_apply(f: GridFunction, ell: int = 0) -> GridFunction:
     """Apply the (channel-ell) negative Laplacian to f."""
-    main, upper, lower = laplacian_tridiagonal(f.grid, ell)
-    v = f.values
-    out = main * v
-    out[:-1] += upper * v[1:]
-    out[1:] += lower * v[:-1]
-    return GridFunction(f.grid, out)
+    return GridFunction(f.grid, _Tridiag(*laplacian_tridiagonal(f.grid, ell)).matvec(f.values))
 
 
 def gradient_squared_integral(f: GridFunction) -> float:

@@ -35,12 +35,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.special import gamma as gamma_fn
 
 from .exceptions import (
     ConvergenceError,
-    DegenerateInputError,
     InvalidExponentError,
     PreconditionError,
     UnsupportedShiftError,
@@ -48,10 +46,10 @@ from .exceptions import (
 from .grid import (
     Grid,
     GridFunction,
+    _Tridiag,
     gradient_squared_integral,
     laplacian_apply,
     laplacian_tridiagonal,
-    norm_l2,
     norm_lp,
     symmetric_tridiagonal,
 )
@@ -100,6 +98,17 @@ class Exponents:
             raise InvalidExponentError(f"need q > 2, got {q}")
         p = q / (q - 2.0)
         return cls.from_gamma(p - d / 2.0, d)
+
+
+def _profile_exponents(gamma: float, d: int, gs: GroundState) -> Exponents:
+    """The exponents of (gamma, d), which must be those gs was solved for."""
+    exps = Exponents.from_gamma(gamma, d)
+    if abs(exps.q - gs.q) > 1e-12 or d != gs.d:
+        raise InvalidExponentError(
+            f"profile solved for q = {gs.q}, d = {gs.d}; "
+            f"gamma = {gamma}, d = {d} implies q = {exps.q}"
+        )
+    return exps
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +232,13 @@ def _petviashvili(grid: Grid, q: float, maxiter: int = 500) -> np.ndarray:
     """
     w = grid.quad_weights
     r = grid.nodes
-    main, upper, lower = laplacian_tridiagonal(grid, 0)
-    ab = np.zeros((3, grid.n))
-    ab[0, 1:] = upper
-    ab[1] = main + 1.0
-    ab[2, :-1] = lower
+    lap = _Tridiag(*laplacian_tridiagonal(grid, 0))
     alpha = (q - 1.0) / (q - 2.0)
     u = 2.0 * np.exp(-(r**2) / 2.0)
-    scale = float(np.abs(main).max()) + 1.0
+    scale = float(np.abs(lap.main).max()) + 1.0
     target = 1e-12 * scale
     for _ in range(maxiter):
-        mu = main * u
-        mu[:-1] += upper * u[1:]
-        mu[1:] += lower * u[:-1]
+        mu = lap.matvec(u)
         mu += u
         rhs = u ** (q - 1.0)
         num = float(w @ (mu * u))
@@ -243,7 +246,8 @@ def _petviashvili(grid: Grid, q: float, maxiter: int = 500) -> np.ndarray:
         if den <= 0.0 or not np.isfinite(den):
             raise ConvergenceError("profile iteration degenerated")
         gamma = num / den
-        u = gamma**alpha * sla.solve_banded((1, 1), ab, rhs)
+        # (-Lap + 1)^(-1) is the shifted solve at sigma = -1
+        u = gamma**alpha * lap.solve_shifted(-1.0, rhs)
         u = np.maximum(u, 0.0)
         res = float(np.sqrt(w @ (mu - gamma * rhs) ** 2))
         if res <= target and abs(gamma - 1.0) < 1e-12:
@@ -364,6 +368,30 @@ def profile_interpolant(gs: GroundState):
     return evaluate
 
 
+def _base_profile(gs: GroundState):
+    """Callable V0_-(r) = (Q(r)/||Q||_q)^(q-2) of the unit-scale member."""
+    prof = profile_interpolant(gs)
+    qm2 = gs.q - 2.0
+
+    def v0neg(r):
+        return (prof(r) / gs.norm_q) ** qm2
+
+    return v0neg
+
+
+def _family_neg(
+    gs: GroundState, grid: Grid, b: float, a: float, v0=None
+) -> np.ndarray:
+    """Nodal values of W_- for the member with parameters (b, a); pass a
+    prebuilt ``v0 = _base_profile(gs)`` to evaluate many members on one
+    interpolant."""
+    if v0 is None:
+        v0 = _base_profile(gs)
+    x = grid.nodes
+    arg = b * np.abs(x - a) if grid.kind == "line" else b * x
+    return b**2 * v0(arg)
+
+
 def optimal_potential(
     gs: GroundState, b: float = 1.0, a: float = 0.0, grid: Grid | None = None
 ) -> GridFunction:
@@ -378,15 +406,9 @@ def optimal_potential(
     target = grid if grid is not None else gs.grid
     if target.kind == "radial" and a != 0.0:
         raise UnsupportedShiftError("radial grids only support a = 0")
-    qm2 = gs.q - 2.0
     if target is gs.grid and b == 1.0 and a == 0.0:
-        vals = -((gs.Q.values / gs.norm_q) ** qm2)
-        return GridFunction(target, vals)
-    prof = profile_interpolant(gs)
-    x = target.nodes
-    arg = b * np.abs(x - a) if target.kind == "line" else b * x
-    vals = -(b**2) * (prof(arg) / gs.norm_q) ** qm2
-    return GridFunction(target, vals)
+        return GridFunction(target, -((gs.Q.values / gs.norm_q) ** (gs.q - 2.0)))
+    return GridFunction(target, -_family_neg(gs, target, b, a))
 
 
 @dataclass(frozen=True)
@@ -399,20 +421,10 @@ class KellerConstant:
 
 
 def keller_constant(gamma: float, d: int, gs: GroundState) -> KellerConstant:
-    from .spectral import lowest_eigenpair
+    from .stability import eigenvalue_ratio
 
-    exps = Exponents.from_gamma(gamma, d)
-    if abs(exps.q - gs.q) > 1e-12 or d != gs.d:
-        raise InvalidExponentError(
-            f"profile solved for q = {gs.q}, d = {gs.d}; "
-            f"gamma = {gamma}, d = {d} implies q = {exps.q}"
-        )
     route1 = gs.C_prime
-    W = optimal_potential(gs, 1.0, 0.0)
-    lam = lowest_eigenpair(W, 0).lam
-    wneg = GridFunction(gs.grid, np.maximum(-W.values, 0.0))
-    denom = norm_lp(wneg, exps.p) ** (exps.p / gamma)
-    route2 = abs(lam) / denom
+    route2 = eigenvalue_ratio(optimal_potential(gs), gamma, d, gs)
     mismatch = abs(route1 - route2) / route1
     return KellerConstant(value=route1, eigen_route=route2, mismatch=mismatch)
 

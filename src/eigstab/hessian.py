@@ -22,6 +22,7 @@ import numpy as np
 from .exceptions import PreconditionError
 from .grid import (
     GridFunction,
+    _Tridiag,
     gradient_squared_integral,
     h1_distance,
     norm_l2,
@@ -64,13 +65,7 @@ class HessianChannel:
     def quadratic_form(self, f: GridFunction) -> float:
         w = f.grid.quad_weights
         v = np.sqrt(w) * f.values
-        out = self.diag * v
-        out[:-1] += self.off * v[1:]
-        out[1:] += self.off * v[:-1]
-        if self.rank1 is not None:
-            rho, u = self.rank1
-            out += rho * (u @ v) * u
-        return float(v @ out)
+        return float(v @ _Tridiag(self.diag, self.off, rank1=self.rank1).matvec(v))
 
 
 def build_channel(

@@ -47,28 +47,22 @@ def unit_rows(vals, weights, p: float):
     return vals / nrm[..., None]
 
 
-def _redraw_until_unit(draw, measure: WeightedMeasure, p: float) -> MeasFunction:
-    while True:
-        try:
-            return MeasFunction(measure, unit_rows(draw()[None], measure.weights, p)[0])
-        except DegenerateInputError:
-            continue
-
-
 def random_unit_function(
     rng: np.random.Generator,
     measure: WeightedMeasure,
     p: float,
     complex_values: bool = False,
 ) -> MeasFunction:
-    """Smooth random function normalized to unit L^p(measure) norm."""
-    return _redraw_until_unit(
-        lambda: smoothed_noise(rng, measure.n, complex_values=complex_values), measure, p
-    )
+    """Smooth random function normalized to unit L^p(measure) norm; a
+    degenerate draw raises :class:`DegenerateInputError`."""
+    vals = smoothed_noise(rng, measure.n, complex_values=complex_values)
+    return MeasFunction(measure, unit_rows(vals[None], measure.weights, p)[0])
 
 
 def random_nonnegative_unit(
     rng: np.random.Generator, measure: WeightedMeasure, p: float
 ) -> MeasFunction:
-    """Nonnegative smooth random function with unit L^p(measure) norm."""
-    return _redraw_until_unit(lambda: np.abs(smoothed_noise(rng, measure.n)), measure, p)
+    """Nonnegative smooth random function with unit L^p(measure) norm; a
+    degenerate draw raises :class:`DegenerateInputError`."""
+    vals = np.abs(smoothed_noise(rng, measure.n))
+    return MeasFunction(measure, unit_rows(vals[None], measure.weights, p)[0])

@@ -20,8 +20,8 @@ import scipy.sparse.linalg as spla
 
 from .exceptions import ConvergenceError, DegenerateInputError
 from .grid import (
-    Grid,
     GridFunction,
+    _Tridiag,
     gradient_squared_integral,
     symmetric_tridiagonal,
 )
@@ -36,53 +36,6 @@ class EigenPair:
     psi: GridFunction       # L2-normalized, sign-fixed positive at max |psi|
     residual: float
     iterations: int
-
-
-class _TridiagRank1:
-    """Symmetric tridiagonal matrix plus an optional rank-one term."""
-
-    def __init__(self, diag, off, rank1=None):
-        self.diag = np.asarray(diag, dtype=float)
-        self.off = np.asarray(off, dtype=float)
-        self.n = self.diag.size
-        self.rank1 = None
-        if rank1 is not None:
-            rho, u = rank1
-            self.rank1 = (float(rho), np.asarray(u, dtype=float))
-
-    @property
-    def opnorm(self) -> float:
-        bound = np.abs(self.diag).copy()
-        bound[:-1] += np.abs(self.off)
-        bound[1:] += np.abs(self.off)
-        top = float(bound.max())
-        if self.rank1 is not None:
-            rho, u = self.rank1
-            top += abs(rho) * float(u @ u)
-        return top
-
-    def matvec(self, v):
-        out = self.diag * v
-        out[:-1] += self.off * v[1:]
-        out[1:] += self.off * v[:-1]
-        if self.rank1 is not None:
-            rho, u = self.rank1
-            out += rho * (u @ v) * u
-        return out
-
-    def solve_shifted(self, sigma, rhs):
-        """(A - sigma I)^(-1) rhs via banded LU and Sherman-Morrison."""
-        ab = np.zeros((3, self.n))
-        ab[0, 1:] = self.off
-        ab[1] = self.diag - sigma
-        ab[2, :-1] = self.off
-        if self.rank1 is None:
-            return sla.solve_banded((1, 1), ab, rhs)
-        rho, u = self.rank1
-        stacked = sla.solve_banded((1, 1), ab, np.column_stack([rhs, u]))
-        y, z = stacked[:, 0], stacked[:, 1]
-        denom = 1.0 + rho * (u @ z)
-        return y - (rho * (u @ y) / denom) * z
 
 
 def smallest_eigenpairs(
@@ -103,19 +56,19 @@ def smallest_eigenpairs(
     floored at the rounding level 50 * eps * ||A||, which is unreachable
     below for large grids.
     """
-    A = _TridiagRank1(diag, off, rank1)
+    A = _Tridiag(diag, off, rank1=rank1)
     tol_eff = max(tol, 50.0 * np.finfo(float).eps * A.opnorm)
 
     if A.rank1 is None:
         eigs, vecs = sla.eigh_tridiagonal(
-            A.diag, A.off, select="i", select_range=(0, k - 1)
+            A.main, A.upper, select="i", select_range=(0, k - 1)
         )
         iterations = k
     else:
         # the rank-one term is PSD (rho > 0) in every use here, so the
         # tridiagonal part bounds the modified spectrum from below
         lam_t = sla.eigh_tridiagonal(
-            A.diag, A.off, select="i", select_range=(0, 0), eigvals_only=True
+            A.main, A.upper, select="i", select_range=(0, 0), eigvals_only=True
         )[0]
         rho, u = A.rank1
         lb = lam_t if rho >= 0.0 else lam_t + rho * float(u @ u)

@@ -35,7 +35,14 @@ from .grid import (
     gradient_squared_integral,
     norm_lp,
 )
-from .groundstate import Exponents, GroundState, profile_interpolant
+from .groundstate import (
+    Exponents,
+    GroundState,
+    _base_profile,
+    _family_neg,
+    _profile_exponents,
+    optimal_potential,
+)
 from .measure import weighted_norm
 from .spectral import lowest_eigenpair
 
@@ -57,33 +64,30 @@ def negative_part(V: GridFunction) -> GridFunction:
     return GridFunction(V.grid, np.maximum(-V.values, 0.0))
 
 
-def _require_attractive(vneg: GridFunction) -> None:
-    if not vneg.values.any():
-        raise DegenerateInputError("V_- vanishes identically; the ratio is 0/0")
-
-
-def _check_compatible(V: GridFunction, gamma: float, d: int, gs: GroundState) -> Exponents:
-    exps = Exponents.from_gamma(gamma, d)
-    if abs(exps.q - gs.q) > 1e-12 or gs.d != d:
-        raise PreconditionError(
-            f"profile solved for q = {gs.q}, d = {gs.d}; "
-            f"gamma = {gamma}, d = {d} implies q = {exps.q}"
-        )
+def _attractive_part(V: GridFunction, gamma: float, d: int, gs: GroundState):
+    """(exponents, V_-) after checking V against (gamma, d) and the profile;
+    a V_- that vanishes identically leaves every ratio 0/0."""
+    exps = _profile_exponents(gamma, d, gs)
     if V.grid.kind == "line" and d != 1:
         raise PreconditionError("line-grid potentials are one-dimensional")
     if V.grid.kind == "radial" and V.grid.dim != d:
         raise PreconditionError("potential grid dimension does not match d")
-    return exps
+    vneg = negative_part(V)
+    if not vneg.values.any():
+        raise DegenerateInputError("V_- vanishes identically; the ratio is 0/0")
+    return exps, vneg
+
+
+def _lambda_ratio(V: GridFunction, vneg: GridFunction, exps: Exponents):
+    """(lambda, |lambda| / (int V_-^p)^(1/gamma)) with lambda clamped at 0."""
+    lam = min(0.0, lowest_eigenpair(V, 0).lam)
+    return lam, abs(lam) / norm_lp(vneg, exps.p) ** (exps.p / exps.gamma)
 
 
 def eigenvalue_ratio(V: GridFunction, gamma: float, d: int, gs: GroundState) -> float:
     """|lambda(V)| / (int V_-^p)^(1/gamma), the quantity C bounds."""
-    exps = _check_compatible(V, gamma, d, gs)
-    vneg = negative_part(V)
-    _require_attractive(vneg)
-    lam = min(0.0, lowest_eigenpair(V, 0).lam)
-    denom = norm_lp(vneg, exps.p) ** (exps.p / gamma)
-    return abs(lam) / denom
+    exps, vneg = _attractive_part(V, gamma, d, gs)
+    return _lambda_ratio(V, vneg, exps)[1]
 
 
 def deficit(V: GridFunction, gamma: float, d: int, gs: GroundState) -> float:
@@ -94,17 +98,6 @@ def deficit(V: GridFunction, gamma: float, d: int, gs: GroundState) -> float:
 # ---------------------------------------------------------------------------
 # distance to the manifold
 # ---------------------------------------------------------------------------
-
-
-def _base_profile(gs: GroundState):
-    """Callable V0_-(r) = (Q(r)/||Q||_q)^(q-2) of the unit-scale member."""
-    prof = profile_interpolant(gs)
-    qm2 = gs.q - 2.0
-
-    def v0neg(r):
-        return (prof(r) / gs.norm_q) ** qm2
-
-    return v0neg
 
 
 def _branch_map(vals, exps: Exponents, power: bool):
@@ -126,7 +119,7 @@ def _matched_scale(vneg: GridFunction, exps: Exponents, gs: GroundState, power: 
     ||W_-^(2/(q-2))||_(q/2) (the high branch).  Both reduce to closed-form
     power laws because the family scales exactly.
     """
-    base = GridFunction(gs.grid, (gs.Q.values / gs.norm_q) ** (gs.q - 2.0))
+    base = negative_part(optimal_potential(gs))
     p, q, d = exps.p, exps.q, exps.d
     if power:
         # ||(b^2 V0(b .))^(2/(q-2))||_(q/2) = b^(4/(q-2) - 2d/q) * ref
@@ -135,17 +128,6 @@ def _matched_scale(vneg: GridFunction, exps: Exponents, gs: GroundState, power: 
         # ||b^2 V0(b .)||_p = b^(2 - d/p) ||V0||_p
         expo = p / (2.0 * p - d)
     return (_branch_norm(vneg, exps, power) / _branch_norm(base, exps, power)) ** expo
-
-
-def _family_neg(
-    gs: GroundState, grid: Grid, b: float, a: float, v0=None
-) -> np.ndarray:
-    """Nodal values of W_- for the member with parameters (b, a)."""
-    if v0 is None:
-        v0 = _base_profile(gs)
-    x = grid.nodes
-    arg = b * np.abs(x - a) if grid.kind == "line" else b * x
-    return b**2 * v0(arg)
 
 
 def _distance_objective(vneg_vals, w_vals, weights, exps: Exponents, power: bool, denom: float) -> float:
@@ -212,9 +194,7 @@ def distance_to_manifold(V: GridFunction, gamma: float, d: int, gs: GroundState)
     ||W_-||_p = ||V_-||_p.  High branch (p >= 2): the same for the
     (2/(q-2))-power map in L^(q/2).  Returns (distance, a, b).
     """
-    exps = _check_compatible(V, gamma, d, gs)
-    vneg = negative_part(V)
-    _require_attractive(vneg)
+    exps, vneg = _attractive_part(V, gamma, d, gs)
     return _branch_distance(vneg, exps, gs, exps.p > 2.0)
 
 
@@ -281,12 +261,8 @@ def stability_report(V: GridFunction, gamma: float, d: int, gs: GroundState) -> 
 
     at the p-norm-matched member W (valid exactly when the p-norms agree).
     """
-    exps = _check_compatible(V, gamma, d, gs)
-    vneg = negative_part(V)
-    _require_attractive(vneg)
-    lam = min(0.0, lowest_eigenpair(V, 0).lam)
-    denom = norm_lp(vneg, exps.p) ** (exps.p / gamma)
-    ratio = abs(lam) / denom
+    exps, vneg = _attractive_part(V, gamma, d, gs)
+    lam, ratio = _lambda_ratio(V, vneg, exps)
     dfc = gs.C_prime - ratio
     v0 = _base_profile(gs)
     dist, a, b = _branch_distance(vneg, exps, gs, exps.p > 2.0, v0)
@@ -353,9 +329,7 @@ def deficit_decomposition(
     exactly whenever lambda <= 0, since E-part + H-part = b^2 lambda + C'
     and b^2 = (int V_-^p)^(-1/gamma).
     """
-    exps = _check_compatible(V, gamma, d, gs)
-    vneg = negative_part(V)
-    _require_attractive(vneg)
+    exps, vneg = _attractive_part(V, gamma, d, gs)
     w = V.grid.quad_weights
     nrm = float(np.sqrt(w @ psi.values**2))
     if abs(nrm - 1.0) > 1e-8:

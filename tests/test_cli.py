@@ -235,6 +235,31 @@ def test_eigen_invalid_grid_flags(capsys, tmp_path, flags):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flags, doc",
+    [
+        (("constants", "--gamma", "nan"), {}),
+        (("constants", "--gamma", "inf"), {}),
+        (("constants", "--q", "nan"), {}),
+        (("holder-verify", "--p", "nan"), {}),
+        (("holder-verify", "--p", "inf"), {}),
+        (("constants", "--gamma", "1.5", "--tol", "nan"), {}),
+        (("constants", "--gamma", "1.5", "--tol", "inf"), {}),
+        (("constants", "--gamma", "1.5"), {"tol": float("inf")}),
+        (("constants",), {"gamma": float("nan")}),
+    ],
+)
+def test_non_finite_settings_rejected(capsys, tmp_path, flags, doc):
+    # checked after the config file (json writes Infinity/NaN) and the flags merge
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"d": 1, **doc}))
+    code, out, err = run_cli(capsys, *flags, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "must be finite" in err
+
+
 _HOLDER_GOLDENS = [
     (
         ("--samples", "300", "--seed", "0"),

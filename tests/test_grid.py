@@ -7,6 +7,7 @@ from eigstab.exceptions import DimensionMismatchError, UnsupportedChannelError
 from eigstab.grid import (
     Grid,
     GridFunction,
+    _Tridiag,
     gradient_squared_integral,
     h1_distance,
     inner,
@@ -91,6 +92,29 @@ def test_symmetric_form_same_spectrum():
     ea = np.sort(np.linalg.eigvals(A).real)
     es = np.sort(np.linalg.eigvalsh(S))
     assert np.allclose(ea, es, atol=1e-8 * np.abs(es).max())
+
+
+@pytest.mark.parametrize("rank1", [False, True], ids=["tridiagonal", "rank1"])
+def test_tridiag_matches_dense(rank1):
+    # the nodal radial Laplacian is not symmetric: upper != lower
+    g = Grid.radial(3, 5.0, 40)
+    main, upper, lower = laplacian_tridiagonal(g, 0)
+    assert not np.allclose(upper, lower)
+    u = np.exp(-g.nodes)
+    term = (0.7, u) if rank1 else None
+    extra = 0.7 * np.outer(u, u) if rank1 else 0.0
+    tri = np.diag(main) + np.diag(upper, 1) + np.diag(lower, -1)
+    A = _Tridiag(main, upper, lower, term)
+    v = np.cos(g.nodes)
+    np.testing.assert_allclose(A.matvec(v), (tri + extra) @ v, rtol=0, atol=1e-12 * np.abs(tri).max())
+    for sigma in (-1.0, -0.25):
+        want = np.linalg.solve(tri + extra - sigma * np.eye(g.n), v)
+        np.testing.assert_allclose(A.solve_shifted(sigma, v), want, rtol=1e-10)
+    assert _Tridiag(main, upper, lower).opnorm >= np.linalg.norm(tri, np.inf)
+    # symmetrized form: opnorm bounds the 2-norm, rank-one term included
+    diag, off = symmetric_tridiagonal(g, 0)
+    sym = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) + extra
+    assert _Tridiag(diag, off, rank1=term).opnorm >= np.linalg.norm(sym, 2)
 
 
 def test_laplacian_pointwise_identity_away_from_origin():

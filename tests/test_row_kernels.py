@@ -186,6 +186,35 @@ def test_zero_row_is_degenerate(mu):
         duality_map(MeasFunction(mu, rows[2]), 3.0)
 
 
+class _ZeroNormals:
+    """A generator whose every normal is 0; it gives up after 100 calls, so
+    code that redraws degenerate samples fails instead of looping."""
+
+    calls = 0
+
+    def standard_normal(self, size=None):
+        self.calls += 1
+        if self.calls > 100:
+            raise RuntimeError("redrawing forever")
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng, mu: random_unit_function(rng, mu, 2.5),
+        lambda rng, mu: random_unit_function(rng, mu, 2.5, complex_values=True),
+        lambda rng, mu: random_nonnegative_unit(rng, mu, 2.5),
+    ],
+    ids=["real", "complex", "nonnegative"],
+)
+def test_degenerate_draw_raises(mu, draw):
+    rng = _ZeroNormals()
+    with pytest.raises(DegenerateInputError):
+        draw(rng, mu)
+    assert rng.calls <= 2  # one draw, two for a complex function
+
+
 def test_smooth_rows_is_convolve():
     raw = np.random.default_rng(43).standard_normal((7, 3, 68))
     kernel = np.ones(5) / 5

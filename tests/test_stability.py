@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from eigstab.exceptions import DegenerateInputError, PreconditionError
+from eigstab.exceptions import DegenerateInputError, InvalidExponentError, PreconditionError
 from eigstab.grid import Grid, GridFunction
 from eigstab.spectral import lowest_eigenpair
 from eigstab.stability import (
@@ -64,6 +64,16 @@ def test_degenerate_potential_rejected(line_grid, gs_q4_d1):
         deficit(V, 1.5, 1, gs_q4_d1)
     with pytest.raises(DegenerateInputError):
         distance_to_manifold(V, 1.5, 1, gs_q4_d1)
+
+
+@pytest.mark.parametrize(
+    "fn", [eigenvalue_ratio, deficit, distance_to_manifold, stability_report]
+)
+def test_exponent_mismatch_is_invalid_exponent(line_grid, gs_q4_d1, fn):
+    # gamma = 1 implies q = 6 in d = 1, but the profile was solved for q = 4:
+    # the same error keller_constant raises
+    with pytest.raises(InvalidExponentError):
+        fn(_sech_well(line_grid), 1.0, 1, gs_q4_d1)
 
 
 def test_distance_zero_and_parameters_on_manifold(line_grid, gs_q4_d1):
