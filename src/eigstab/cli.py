@@ -70,6 +70,14 @@ class RunConfig:
     p: float | None = None
 
 
+_CONFIG_TYPES = {
+    "gamma": float, "q": float, "d": int, "grid_l": float, "grid_n": int,
+    "tol": float, "seed": int, "samples": int, "out": str, "format": str,
+    "potential": str, "p": float,
+}
+_FORMATS = ("csv", "json")
+
+
 # Built once per process: a parser is a web of reference cycles, and one
 # per call left garbage that only a full collection frees, so the memory of
 # a process calling main() in a loop crept up between collections.
@@ -89,27 +97,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "convergence",
     ):
         cmd = sub.add_parser(name)
-        cmd.add_argument("--gamma", type=float, default=None)
-        cmd.add_argument("--q", type=float, default=None)
-        cmd.add_argument("--d", type=int, default=None)
-        cmd.add_argument("--grid-l", type=float, default=None)
-        cmd.add_argument("--grid-n", type=int, default=None)
-        cmd.add_argument("--tol", type=float, default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--samples", type=int, default=None)
-        cmd.add_argument("--out", type=str, default=None)
-        cmd.add_argument("--format", type=str, default=None, choices=("csv", "json"))
-        cmd.add_argument("--potential", type=str, default=None)
-        cmd.add_argument("--p", type=float, default=None)
+        for attr, kind in _CONFIG_TYPES.items():
+            cmd.add_argument(
+                "--" + attr.replace("_", "-"), type=kind, default=None,
+                choices=_FORMATS if attr == "format" else None,
+            )
         cmd.add_argument("--config", type=str, default=None)
     return parser
 
 
-_CONFIG_TYPES = {
-    "gamma": float, "q": float, "d": int, "grid_l": float, "grid_n": int,
-    "tol": float, "seed": int, "samples": int, "out": str, "format": str,
-    "potential": str, "p": float,
-}
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
@@ -176,7 +172,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("seed must be >= 0")
     if cfg.samples < 1:
         raise ConfigError("samples must be >= 1")
-    if cfg.format not in ("csv", "json"):
+    if cfg.format not in _FORMATS:
         raise ConfigError(f"unknown format {cfg.format!r}")
     return cfg
 
@@ -371,8 +367,7 @@ def _cmd_stability_sweep(cfg: RunConfig) -> None:
 
 def _cmd_convergence(cfg: RunConfig) -> None:
     """Richardson table for lambda(-2 sech^2) against the exact value -1."""
-    rows = []
-    prev_err = None
+    rows, ratios, prev_err = [], [], None
     for level in range(3):
         n = cfg.grid_n * 2**level
         grid = _grid(cfg, "line", n)
@@ -380,37 +375,21 @@ def _cmd_convergence(cfg: RunConfig) -> None:
         lam = lowest_eigenpair(V, 0, tol=cfg.tol).lam
         err = abs(lam - (-1.0))
         ratio = None if prev_err is None else prev_err / err
-        rows.append((n, grid.spacing, lam, err, ratio))
+        rows.append({
+            "n": n, "h": f"{grid.spacing:.17g}", "lambda": f"{lam:.17g}",
+            "error": f"{err:.17g}", "ratio": None if ratio is None else f"{ratio:.17g}",
+        })
+        ratios.append((n, ratio))
         prev_err = err
     if cfg.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "h", "lambda", "error", "ratio"])
-        for n, h, lam, err, ratio in rows:
-            writer.writerow(
-                [n, f"{h:.17g}", f"{lam:.17g}", f"{err:.17g}",
-                 "" if ratio is None else f"{ratio:.17g}"]
-            )
+        writer = csv.DictWriter(buf, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)  # None is written as ""
         _emit(cfg, buf.getvalue())
     else:
-        _emit(
-            cfg,
-            json.dumps(
-                {
-                    "rows": [
-                        {
-                            "n": n,
-                            "h": f"{h:.17g}",
-                            "lambda": f"{lam:.17g}",
-                            "error": f"{err:.17g}",
-                            "ratio": None if ratio is None else f"{ratio:.17g}",
-                        }
-                        for n, h, lam, err, ratio in rows
-                    ]
-                }
-            ),
-        )
-    for n, _, _, _, ratio in rows:
+        _emit(cfg, json.dumps({"rows": rows}))
+    for n, ratio in ratios:
         if ratio is not None and not (3.2 <= ratio <= 4.8):
             raise ContractViolation(
                 f"n={n}: error ratio {ratio!r} outside the second-order window"

@@ -24,8 +24,8 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.special import gamma as gamma_fn
 
-from .exceptions import DimensionMismatchError, UnsupportedChannelError
-from .measure import weighted_norm
+from .exceptions import UnsupportedChannelError
+from .measure import MeasFunction, WeightedMeasure, _check_same_measure, lp_norm
 
 
 def surface_area(d: int) -> float:
@@ -33,15 +33,19 @@ def surface_area(d: int) -> float:
     return float(2.0 * np.pi ** (d / 2.0) / gamma_fn(d / 2.0))
 
 
-@dataclass(frozen=True)
-class Grid:
+@dataclass(frozen=True, eq=False)
+class Grid(WeightedMeasure):
+    """A weighted measure whose points are the nodes and whose weights are
+    the quadrature weights; two grids are the same space when kind, dim,
+    extent and n agree."""
+
+    weights: np.ndarray = field(init=False, repr=False)
     kind: str          # "line" or "radial"
     dim: int
     extent: float      # L: domain is [-L, L] (line) or [0, L] (radial)
     n: int
     nodes: np.ndarray = field(init=False, repr=False)
     spacing: float = field(init=False)
-    quad_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("line", "radial"):
@@ -63,10 +67,18 @@ class Grid:
             nodes = (np.arange(self.n) + 0.5) * h
             weights = surface_area(self.dim) * nodes ** (self.dim - 1) * h
         nodes.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "spacing", h)
-        object.__setattr__(self, "quad_weights", weights)
+        object.__setattr__(self, "weights", weights)
+        super().__post_init__()
+
+    def _key(self):
+        return (self.kind, self.dim, self.extent, self.n)
+
+    @property
+    def quad_weights(self) -> np.ndarray:
+        """The measure's weights."""
+        return self.weights
 
     # -- constructors -------------------------------------------------
 
@@ -79,7 +91,7 @@ class Grid:
         return cls("radial", dim, extent, n)
 
     def function(self, values) -> "GridFunction":
-        return GridFunction(self, np.asarray(values, dtype=float))
+        return GridFunction(self, values)
 
     def from_callable(self, fn) -> "GridFunction":
         return self.function(fn(self.nodes))
@@ -107,40 +119,15 @@ class Grid:
         return cls(meta["kind"], meta["dim"], meta["extent"], meta["n"])
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    grid: Grid
-    values: np.ndarray = field(repr=False)
+class GridFunction(MeasFunction):
+    """A real-valued function on a :class:`Grid`, which is its measure."""
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).copy()
-        if v.shape != (self.grid.n,):
-            raise DimensionMismatchError(
-                f"expected {self.grid.n} values, got shape {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid function values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+    def __init__(self, grid: Grid, values):
+        super().__init__(grid, np.asarray(values, dtype=float))
 
-    def map(self, fn) -> "GridFunction":
-        return GridFunction(self.grid, fn(self.values))
-
-    def __add__(self, other):
-        _check_same_grid(self, other)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _check_same_grid(self, other)
-        return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, c):
-        return GridFunction(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values)
+    @property
+    def grid(self) -> Grid:
+        return self.measure
 
     # -- serialization ------------------------------------------------
 
@@ -167,20 +154,13 @@ class GridFunction:
         return cls(grid, np.array([float(v) for v in doc["values"]]))
 
 
-def _check_same_grid(f: GridFunction, g: GridFunction) -> None:
-    if f.grid is g.grid:
-        return
-    if f.grid.metadata() != g.grid.metadata():
-        raise DimensionMismatchError("grid functions live on different grids")
-
-
 def integrate(f: GridFunction) -> float:
     """Quadrature sum; equals the R^d integral up to O(h^2)."""
     return float(f.grid.quad_weights @ f.values)
 
 
 def inner(f: GridFunction, g: GridFunction) -> float:
-    _check_same_grid(f, g)
+    _check_same_measure(f, g)
     return float(f.grid.quad_weights @ (f.values * g.values))
 
 
@@ -188,8 +168,7 @@ def norm_l2(f: GridFunction) -> float:
     return float(np.sqrt(f.grid.quad_weights @ f.values**2))
 
 
-def norm_lp(f: GridFunction, p: float) -> float:
-    return weighted_norm(np.abs(f.values), f.grid.quad_weights, p)
+norm_lp = lp_norm  # a grid's L^p norm is its measure's
 
 
 def laplacian_tridiagonal(grid: Grid, ell: int = 0):
@@ -334,7 +313,6 @@ def gradient_squared_integral(f: GridFunction) -> float:
 
 def h1_distance(f: GridFunction, g: GridFunction) -> float:
     """(||f-g||_2^2 + ||grad(f-g)||_2^2)^(1/2) with the grid quadrature."""
-    _check_same_grid(f, g)
     diff = f - g
     return float(np.sqrt(norm_l2(diff) ** 2 + gradient_squared_integral(diff)))
 

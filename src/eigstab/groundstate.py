@@ -247,7 +247,14 @@ def _petviashvili(grid: Grid, q: float, maxiter: int = 500) -> np.ndarray:
             raise ConvergenceError("profile iteration degenerated")
         gamma = num / den
         # (-Lap + 1)^(-1) is the shifted solve at sigma = -1
-        u = gamma**alpha * lap.solve_shifted(-1.0, rhs)
+        try:
+            factor = gamma**alpha
+        except OverflowError as exc:
+            raise InvalidExponentError(
+                f"q = {q} lies too close to 2 for the profile iteration: "
+                f"its factor gamma^{alpha:.6g} overflows"
+            ) from exc
+        u = factor * lap.solve_shifted(-1.0, rhs)
         u = np.maximum(u, 0.0)
         res = float(np.sqrt(w @ (mu - gamma * rhs) ** 2))
         if res <= target and abs(gamma - 1.0) < 1e-12:

@@ -28,7 +28,10 @@ def scalar_pow(x, e: float):
     with this, so each row gets what a one-function, scalar computation
     gets.
     """
-    return np.array([v**e for v in x.tolist()])
+    try:
+        return np.array([v**e for v in x.tolist()])
+    except OverflowError as exc:
+        raise InvalidExponentError(f"a norm raised to the power {e} overflows") from exc
 
 
 def weighted_norm(vals, weights, p: float):
@@ -49,9 +52,14 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedMeasure:
-    """A finite measure space: n points with positive weights."""
+    """A finite measure space: n points with positive weights.
+
+    Two measures are the same space when they are of one type and agree on
+    :meth:`_key`: the weights here, the geometry for a grid.  Functions
+    combine only on the same space.
+    """
 
     weights: np.ndarray
 
@@ -64,10 +72,13 @@ class WeightedMeasure:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "n", w.size)
 
-    @property
-    def n(self) -> int:
-        return self.weights.size
+    def _key(self):
+        return self.weights.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
 
     @property
     def total_mass(self) -> float:
@@ -93,19 +104,22 @@ class WeightedMeasure:
 
 @dataclass(frozen=True)
 class MeasFunction:
-    """A complex-valued function sampled on a :class:`WeightedMeasure`."""
+    """A complex-valued function sampled on a :class:`WeightedMeasure`.
+
+    The algebra keeps the type: the sum of two grid functions is a grid
+    function.
+    """
 
     measure: WeightedMeasure
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values)
+        v = np.array(self.values, ndmin=1)
         if not np.iscomplexobj(v):
-            v = v.astype(float)
-        v = np.atleast_1d(v).copy()
-        if v.size != self.measure.n:
+            v = v.astype(float, copy=False)
+        if v.shape != (self.measure.n,):
             raise DimensionMismatchError(
-                f"{v.size} values on a measure with {self.measure.n} points"
+                f"values of shape {v.shape} on a measure with {self.measure.n} points"
             )
         require_finite(v)
         v.setflags(write=False)
@@ -116,28 +130,27 @@ class MeasFunction:
         return bool(real_rows(self.values))
 
     def map(self, fn) -> "MeasFunction":
-        return MeasFunction(self.measure, fn(self.values))
+        return type(self)(self.measure, fn(self.values))
 
     def __add__(self, other: "MeasFunction") -> "MeasFunction":
         _check_same_measure(self, other)
-        return MeasFunction(self.measure, self.values + other.values)
+        return type(self)(self.measure, self.values + other.values)
 
     def __sub__(self, other: "MeasFunction") -> "MeasFunction":
         _check_same_measure(self, other)
-        return MeasFunction(self.measure, self.values - other.values)
+        return type(self)(self.measure, self.values - other.values)
 
     def __mul__(self, c) -> "MeasFunction":
-        return MeasFunction(self.measure, self.values * c)
+        return type(self)(self.measure, self.values * c)
 
     __rmul__ = __mul__
 
+    def __neg__(self) -> "MeasFunction":
+        return type(self)(self.measure, -self.values)
+
 
 def _check_same_measure(f: MeasFunction, g: MeasFunction) -> None:
-    if f.measure is g.measure:
-        return
-    if f.measure.n != g.measure.n or not np.array_equal(
-        f.measure.weights, g.measure.weights
-    ):
+    if f.measure != g.measure:
         raise DimensionMismatchError("functions live on different measures")
 
 

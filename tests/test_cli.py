@@ -420,3 +420,22 @@ def test_main_leaves_no_cyclic_garbage(capsys):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("holder-verify", "--p", "1e6", "--samples", "5"),
+        ("constants", "--gamma", "1e6", "--d", "1", "--grid-n", "500"),
+    ],
+    ids=["holder-verify", "constants"],
+)
+def test_overflow_is_a_clean_refusal(capsys, flags):
+    # a huge but finite exponent overflows a float power; the CLI reports it
+    # on one line instead of ending in an OverflowError traceback
+    code, out, err = run_cli(capsys, *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("contract violation:")
+    assert "overflows" in err
+    assert err.count("\n") == 1
