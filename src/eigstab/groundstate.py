@@ -53,6 +53,7 @@ from .grid import (
     norm_lp,
     symmetric_tridiagonal,
 )
+from .measure import weighted_norm
 from .spectral import smallest_eigenpairs
 
 
@@ -305,7 +306,7 @@ def solve_ground_state(
     energy = coupling = None
     residual = np.inf
     for _ in range(max_scf):
-        nq = _weighted_lp(w, psi, q)
+        nq = weighted_norm(psi, w, q)
         coupling = nq ** (2.0 - q)
         Veff = -coupling * psi ** (q - 2.0)
         diag, off = symmetric_tridiagonal(grid, 0, Veff)
@@ -333,7 +334,7 @@ def solve_ground_state(
             stacklevel=2,
         )
 
-    norm_q = _weighted_lp(w, psi, q)
+    norm_q = weighted_norm(psi, w, q)
     c_prime = -energy
     s_const = interpolation_constant_from_c_prime(c_prime, exps.theta)
     return GroundState(
@@ -346,10 +347,6 @@ def solve_ground_state(
         S=s_const,
         el_residual=residual,
     )
-
-
-def _weighted_lp(w, vals, p):
-    return float((w @ np.abs(vals) ** p) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
