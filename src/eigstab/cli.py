@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 import warnings
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EigstabError
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, csv_text, exact
 from .groundstate import (
     Exponents,
     keller_constant,
@@ -236,12 +235,14 @@ def _cmd_constants(cfg: RunConfig) -> None:
                 "gamma": exps.gamma,
                 "d": cfg.d,
                 "q": exps.q,
-                "C": f"{kc.value:.17g}",
-                "C_eigen_route": f"{kc.eigen_route:.17g}",
-                "route_mismatch": f"{kc.mismatch:.17g}",
-                "C_prime": f"{gs.C_prime:.17g}",
-                "S": f"{gs.S:.17g}",
-                "norm_q": f"{gs.norm_q:.17g}",
+                **exact({
+                    "C": kc.value,
+                    "C_eigen_route": kc.eigen_route,
+                    "route_mismatch": kc.mismatch,
+                    "C_prime": gs.C_prime,
+                    "S": gs.S,
+                    "norm_q": gs.norm_q,
+                }),
             }
         ),
     )
@@ -291,9 +292,7 @@ def _cmd_eigen(cfg: RunConfig) -> None:
         cfg,
         json.dumps(
             {
-                "lambda": f"{lam:.17g}",
-                "raw_eigenvalue": f"{pair.lam:.17g}",
-                "residual": f"{pair.residual:.17g}",
+                **exact({"lambda": lam, "raw_eigenvalue": pair.lam, "residual": pair.residual}),
                 "grid": grid.metadata(),
             }
         ),
@@ -367,7 +366,7 @@ def _cmd_stability_sweep(cfg: RunConfig) -> None:
 
 def _cmd_convergence(cfg: RunConfig) -> None:
     """Richardson table for lambda(-2 sech^2) against the exact value -1."""
-    rows, ratios, prev_err = [], [], None
+    rows, prev_err = [], None
     for level in range(3):
         n = cfg.grid_n * 2**level
         grid = _grid(cfg, "line", n)
@@ -375,24 +374,16 @@ def _cmd_convergence(cfg: RunConfig) -> None:
         lam = lowest_eigenpair(V, 0, tol=cfg.tol).lam
         err = abs(lam - (-1.0))
         ratio = None if prev_err is None else prev_err / err
-        rows.append({
-            "n": n, "h": f"{grid.spacing:.17g}", "lambda": f"{lam:.17g}",
-            "error": f"{err:.17g}", "ratio": None if ratio is None else f"{ratio:.17g}",
-        })
-        ratios.append((n, ratio))
+        rows.append({"n": n, "h": grid.spacing, "lambda": lam, "error": err, "ratio": ratio})
         prev_err = err
     if cfg.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)  # None is written as ""
-        _emit(cfg, buf.getvalue())
+        _emit(cfg, csv_text(list(rows[0]), [list(row.values()) for row in rows]))
     else:
-        _emit(cfg, json.dumps({"rows": rows}))
-    for n, ratio in ratios:
-        if ratio is not None and not (3.2 <= ratio <= 4.8):
+        _emit(cfg, json.dumps({"rows": exact(rows)}))
+    for row in rows:
+        if row["ratio"] is not None and not (3.2 <= row["ratio"] <= 4.8):
             raise ContractViolation(
-                f"n={n}: error ratio {ratio!r} outside the second-order window"
+                f"n={row['n']}: error ratio {row['ratio']!r} outside the second-order window"
             )
 
 

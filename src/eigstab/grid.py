@@ -28,6 +28,32 @@ from .exceptions import UnsupportedChannelError
 from .measure import MeasFunction, WeightedMeasure, _check_same_measure, lp_norm
 
 
+def exact(value):
+    """The package's one number-to-text rule: a float (``np.float64`` too)
+    becomes its 17-significant-digit string, which reads back bit for bit;
+    dicts, lists, tuples and arrays are encoded element by element; ints,
+    bools, strings and None pass through."""
+    if isinstance(value, float | np.floating):
+        return f"{value:.17g}"
+    if isinstance(value, dict):
+        return {k: exact(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, list | tuple):
+        return [exact(v) for v in value]
+    return value
+
+
+def csv_text(header, rows) -> str:
+    """CSV text with "\\n" line ends and every row through :func:`exact`;
+    None is written as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(exact, rows))
+    return buf.getvalue()
+
+
 def surface_area(d: int) -> float:
     """Area of the unit sphere S^(d-1): 2 pi^(d/2) / Gamma(d/2)."""
     return float(2.0 * np.pi ** (d / 2.0) / gamma_fn(d / 2.0))
@@ -66,6 +92,8 @@ class Grid(WeightedMeasure):
             h = self.extent / self.n
             nodes = (np.arange(self.n) + 0.5) * h
             weights = surface_area(self.dim) * nodes ** (self.dim - 1) * h
+        if not (0.0 < h * h < np.inf and 1.0 / (h * h) < np.inf):
+            raise ValueError(f"spacing {h:g} puts 1/h^2 out of floating-point range")
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "spacing", h)
@@ -132,20 +160,10 @@ class GridFunction(MeasFunction):
     # -- serialization ------------------------------------------------
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["coordinate", "value"])
-        for x, v in zip(self.grid.nodes, self.values):
-            writer.writerow([f"{x:.17g}", f"{v:.17g}"])
-        return buf.getvalue()
+        return csv_text(["coordinate", "value"], zip(self.grid.nodes, self.values))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "grid": self.grid.metadata(),
-                "values": [f"{v:.17g}" for v in self.values],
-            }
-        )
+        return json.dumps({"grid": self.grid.metadata(), "values": exact(self.values)})
 
     @classmethod
     def from_json(cls, text: str) -> "GridFunction":

@@ -47,6 +47,7 @@ from .grid import (
     Grid,
     GridFunction,
     _Tridiag,
+    exact,
     gradient_squared_integral,
     laplacian_apply,
     laplacian_tridiagonal,
@@ -185,13 +186,15 @@ class GroundState:
             {
                 "q": self.q,
                 "d": self.d,
-                "E": f"{self.E:.17g}",
-                "C_prime": f"{self.C_prime:.17g}",
-                "S": f"{self.S:.17g}",
-                "norm_q": f"{self.norm_q:.17g}",
-                "el_residual": f"{self.el_residual:.17g}",
+                **exact({
+                    "E": self.E,
+                    "C_prime": self.C_prime,
+                    "S": self.S,
+                    "norm_q": self.norm_q,
+                    "el_residual": self.el_residual,
+                }),
                 "grid": self.grid.metadata(),
-                "Q": [f"{v:.17g}" for v in self.Q.values],
+                "Q": exact(self.Q.values),
             }
         )
 

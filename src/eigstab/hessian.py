@@ -15,7 +15,7 @@ every channel ell >= 2 is strictly positive.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .exceptions import PreconditionError
 from .grid import (
     GridFunction,
     _Tridiag,
+    exact,
     gradient_squared_integral,
     h1_distance,
     norm_l2,
@@ -117,23 +118,8 @@ class KernelReport:
     empirical_gap: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "channels": [
-                    {
-                        "ell": c.ell,
-                        "eigs": [f"{e:.17g}" for e in c.eigs],
-                        "overlap": None if c.overlap is None else f"{c.overlap:.12g}",
-                        "n_near_zero": c.n_near_zero,
-                        "multiplicity": c.multiplicity,
-                    }
-                    for c in self.channels
-                ],
-                "kernel_dim": self.kernel_dim,
-                "anomalies": self.anomalies,
-                "empirical_gap": f"{self.empirical_gap:.17g}",
-            }
-        )
+        """The fields in order, each channel a dict of its own fields."""
+        return json.dumps(exact(asdict(self)))
 
 
 def _channel_multiplicity(ell: int, d: int) -> int:

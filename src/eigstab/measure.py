@@ -90,16 +90,18 @@ class WeightedMeasure:
     def constant(self, value) -> "MeasFunction":
         return self.function(np.full(self.n, value))
 
-    @classmethod
-    def uniform_probability(cls, n: int) -> "WeightedMeasure":
-        return cls(np.full(n, 1.0 / n))
+    # static, not class methods: a subclass such as Grid is built from its
+    # geometry, not from weights, so these always give a plain measure
+    @staticmethod
+    def uniform_probability(n: int) -> "WeightedMeasure":
+        return WeightedMeasure(np.full(n, 1.0 / n))
 
-    @classmethod
-    def lebesgue_interval(cls, a: float, b: float, n: int) -> "WeightedMeasure":
+    @staticmethod
+    def lebesgue_interval(a: float, b: float, n: int) -> "WeightedMeasure":
         """Midpoint-rule discretization of Lebesgue measure on [a, b]."""
         if b <= a:
             raise ValueError("need b > a")
-        return cls(np.full(n, (b - a) / n))
+        return WeightedMeasure(np.full(n, (b - a) / n))
 
 
 @dataclass(frozen=True)

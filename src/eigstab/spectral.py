@@ -35,7 +35,7 @@ class EigenPair:
     lam: float
     psi: GridFunction       # L2-normalized, sign-fixed positive at max |psi|
     residual: float
-    iterations: int
+    iterations: int | None  # neither LAPACK nor ARPACK reports a count
 
 
 def smallest_eigenpairs(
@@ -49,7 +49,8 @@ def smallest_eigenpairs(
     """k smallest eigenpairs of a symmetric tridiagonal (+ rank-one) matrix.
 
     Returns (eigs, vecs, residuals, iterations) with vecs of shape (n, k),
-    orthonormal columns, eigenvalues in ascending order.  Pure tridiagonal
+    orthonormal columns, eigenvalues in ascending order; iterations is
+    None, since neither solver reports a count.  Pure tridiagonal
     matrices go through LAPACK bisection + inverse iteration; a rank-one
     term is handled by shift-invert Lanczos with the shift below the
     spectrum and Sherman-Morrison solves.  ``tol`` is a residual target,
@@ -63,7 +64,6 @@ def smallest_eigenpairs(
         eigs, vecs = sla.eigh_tridiagonal(
             A.main, A.upper, select="i", select_range=(0, k - 1)
         )
-        iterations = k
     else:
         # the rank-one term is PSD (rho > 0) in every use here, so the
         # tridiagonal part bounds the modified spectrum from below
@@ -88,7 +88,6 @@ def smallest_eigenpairs(
             maxiter=maxiter,
             tol=0,
         )
-        iterations = maxiter  # ARPACK does not report its iteration count
         order = np.argsort(eigs)
         eigs, vecs = eigs[order].copy(), vecs[:, order].copy()
         # one inverse-iteration polish per pair: ARPACK residuals in
@@ -116,7 +115,7 @@ def smallest_eigenpairs(
             best=vecs,
             residual=worst,
         )
-    return np.asarray(eigs, dtype=float), vecs, residuals, iterations
+    return np.asarray(eigs, dtype=float), vecs, residuals, None
 
 
 def rayleigh_quotient(psi: GridFunction, V: GridFunction) -> float:

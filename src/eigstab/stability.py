@@ -16,11 +16,9 @@ invariant under V -> b^2 V(b x) and translations.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,6 +30,8 @@ from .exceptions import (
 from .grid import (
     Grid,
     GridFunction,
+    csv_text,
+    exact,
     gradient_squared_integral,
     norm_lp,
 )
@@ -223,29 +223,12 @@ class StabilityReport:
     trans_rhs: float | None          # power-map distance at the p-matched W
 
     def to_json(self) -> str:
-        def fmt(v):
-            return None if v is None else f"{v:.17g}"
-
-        return json.dumps(
-            {
-                "gamma": self.gamma,
-                "d": self.d,
-                "p": self.p,
-                "q": self.q,
-                "lambda": fmt(self.lam),
-                "ratio": fmt(self.ratio),
-                "deficit": fmt(self.deficit),
-                "branch": self.branch,
-                "distance": fmt(self.distance),
-                "matched_a": fmt(self.matched_a),
-                "matched_b": fmt(self.matched_b),
-                "empirical_c": fmt(self.empirical_c),
-                "transfer_distance": fmt(self.transfer_distance),
-                "transfer_ratio": fmt(self.transfer_ratio),
-                "trans_lhs": fmt(self.trans_lhs),
-                "trans_rhs": fmt(self.trans_rhs),
-            }
-        )
+        """The fields in order, ``lam`` as "lambda"; the settings gamma, d,
+        p and q stay numbers."""
+        return json.dumps({
+            ("lambda" if k == "lam" else k): v if k in ("gamma", "d", "p", "q") else exact(v)
+            for k, v in asdict(self).items()
+        })
 
 
 def stability_report(V: GridFunction, gamma: float, d: int, gs: GroundState) -> StabilityReport:
@@ -422,24 +405,13 @@ class SweepResult:
         return float(min(cs)) if cs else float("nan")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["family", "parameter", "lambda", "ratio", "deficit", "distance", "empirical_c"]
+        return csv_text(
+            ["family", "parameter", "lambda", "ratio", "deficit", "distance", "empirical_c"],
+            (
+                [fam, par, rep.lam, rep.ratio, rep.deficit, rep.distance, rep.empirical_c]
+                for fam, par, rep in self.rows
+            ),
         )
-        for fam, par, rep in self.rows:
-            writer.writerow(
-                [
-                    fam,
-                    f"{par:.17g}",
-                    f"{rep.lam:.17g}",
-                    f"{rep.ratio:.17g}",
-                    f"{rep.deficit:.17g}",
-                    f"{rep.distance:.17g}",
-                    "" if rep.empirical_c is None else f"{rep.empirical_c:.17g}",
-                ]
-            )
-        return buf.getvalue()
 
     def summary_json(self) -> str:
         branch = self.rows[0][2].branch if self.rows else None
@@ -449,7 +421,7 @@ class SweepResult:
                 "d": self.d,
                 "branch": branch,
                 "corpus_size": len(self.rows),
-                "min_empirical_c": f"{self.min_empirical_c:.17g}",
+                "min_empirical_c": exact(self.min_empirical_c),
             }
         )
 

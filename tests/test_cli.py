@@ -439,3 +439,21 @@ def test_overflow_is_a_clean_refusal(capsys, flags):
     assert err.startswith("contract violation:")
     assert "overflows" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("constants", "--gamma", "1.5", "--d", "1", "--grid-l", "1e200"),
+        ("convergence", "--grid-l", "1e300"),
+        ("ground-state", "--gamma", "1.5", "--d", "1", "--grid-l", "1e-300"),
+    ],
+    ids=["constants-1e200", "convergence-1e300", "ground-state-1e-300"],
+)
+def test_grid_spacing_out_of_range_is_config_error(capsys, flags):
+    # 1/h^2 overflows (or h^2 underflows) for these extents
+    code, out, err = run_cli(capsys, *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid grid:")
+    assert err.count("\n") == 1

@@ -204,3 +204,21 @@ def test_csv_emission():
     lines = text.strip().split("\n")
     assert lines[0] == "coordinate,value"
     assert len(lines) == 17
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: Grid.line(1e300, 4000), lambda: Grid.line(1e200, 4000),
+             lambda: Grid.radial(1, 1e-300, 4000)],
+    ids=["line-1e300", "line-1e200", "radial-1e-300"],
+)
+def test_grid_rejects_spacing_with_out_of_range_inverse_square(make):
+    # the Laplacian divides by h^2; 1/h^2 must be finite and positive
+    with pytest.raises(ValueError, match="1/h\\^2"):
+        make()
+
+
+def test_measure_constructors_on_grid_give_plain_measures():
+    from eigstab.measure import WeightedMeasure
+
+    assert Grid.uniform_probability(10) == WeightedMeasure.uniform_probability(10)
+    assert Grid.lebesgue_interval(0.0, 2.0, 8) == WeightedMeasure.lebesgue_interval(0.0, 2.0, 8)

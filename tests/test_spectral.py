@@ -144,3 +144,14 @@ def test_convergence_order():
         errs.append(abs(lowest_eigenpair(_poschl_teller(g)).lam + 1.0))
     assert 3.2 < errs[0] / errs[1] < 4.8
     assert 3.2 < errs[1] / errs[2] < 4.8
+
+
+def test_no_iteration_count_is_reported():
+    # neither LAPACK nor ARPACK reports a count, so none is made up
+    g = Grid.line(10.0, 400)
+    V = _poschl_teller(g)
+    diag, off = symmetric_tridiagonal(g, 0, V.values)
+    assert smallest_eigenpairs(diag, off, k=2)[3] is None
+    u = np.sqrt(g.quad_weights) * np.exp(-g.nodes**2)
+    assert smallest_eigenpairs(diag, off, k=2, rank1=(1.0, u))[3] is None
+    assert lowest_eigenpair(V).iterations is None

@@ -23,13 +23,15 @@ from pathlib import Path
 import numpy as np
 
 #: the README commands, with ``--out`` dropped and ``{well}`` standing for a
-#: -2 sech^2 potential sampled at 4001 points on [-20, 20]
+#: -2 sech^2 potential sampled at 4001 points on [-20, 20]; the sweep also
+#: runs once in its default JSON format, the summary path
 COMMANDS = (
     "constants --gamma 1.5 --d 1",
     "ground-state --q 4 --d 1",
     "eigen --potential {well} --grid-l 20 --grid-n 4000",
     "hessian --q 4 --d 1",
     "hessian --q 4 --d 3 --grid-l 1500 --grid-n 6000",
+    "stability-sweep --gamma 1.5 --d 1",
     "stability-sweep --gamma 1.5 --d 1 --format csv",
     "stability-sweep --d 3 --grid-l 250 --grid-n 4000 --format csv",
     "convergence",
