@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import gamma as gamma_fn
 
 from .exceptions import UnsupportedChannelError
@@ -189,6 +189,7 @@ def norm_l2(f: GridFunction) -> float:
 norm_lp = lp_norm  # a grid's L^p norm is its measure's
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def laplacian_tridiagonal(grid: Grid, ell: int = 0):
     """Tridiagonal nodal matrix (main, upper, lower) of the operator
 
@@ -196,7 +197,7 @@ def laplacian_tridiagonal(grid: Grid, ell: int = 0):
 
     in flux form (line grids: plain -f'' with Dirichlet ghosts).  The
     matrix is symmetric under the quadrature inner product:
-    w_i A[i, i+1] = w_{i+1} A[i+1, i].
+    w_i A[i, i+1] = w_{i+1} A[i+1, i].  See :func:`_in_range`.
     """
     n, h = grid.n, grid.spacing
     e = grid.edge_factors()
@@ -205,7 +206,7 @@ def laplacian_tridiagonal(grid: Grid, ell: int = 0):
             raise UnsupportedChannelError("line grids only support ell = 0")
         main = np.full(n, 2.0 / h**2)
         off = np.full(n - 1, -1.0 / h**2)
-        return main, off, off.copy()
+        return _in_range(h, main, off, off.copy())
 
     if ell < 0:
         raise UnsupportedChannelError("ell must be nonnegative")
@@ -226,6 +227,16 @@ def laplacian_tridiagonal(grid: Grid, ell: int = 0):
     cent = ell * (ell + grid.dim - 2)
     if cent != 0:
         main = main + cent / r**2
+    return _in_range(h, main, upper, lower)
+
+
+def _in_range(h, main, upper, lower):
+    """(main, upper, lower), refused with ValueError once a row sum, at most
+    twice the largest diagonal entry, reaches sqrt(float max) * eps (about
+    3e138): LAPACK's tridiagonal eigensolvers fail well before the entries
+    overflow (dstein gave NaN vectors from 1e148 on at n = 16000)."""
+    if not 2.0 * main.max() < np.sqrt(np.finfo(float).max) * np.finfo(float).eps:
+        raise ValueError(f"spacing {h:g} puts the Laplacian's entries out of floating-point range")
     return main, upper, lower
 
 
@@ -259,6 +270,7 @@ class _Tridiag:
         self.upper = np.asarray(upper, dtype=float)
         self.lower = self.upper if lower is None else np.asarray(lower, dtype=float)
         self.n = self.main.size
+        self._shift = None  # (sigma, LU factors, (z, 1 + rho u.z) or None)
         self.rank1 = None
         if rank1 is not None:
             rho, u = rank1
@@ -287,17 +299,33 @@ class _Tridiag:
         return out
 
     def solve_shifted(self, sigma, rhs):
-        """(A - sigma I)^(-1) rhs via banded LU and Sherman-Morrison."""
-        ab = np.zeros((3, self.n))
-        ab[0, 1:] = self.upper
-        ab[1] = self.main - sigma
-        ab[2, :-1] = self.lower
-        if self.rank1 is None:
-            return sla.solve_banded((1, 1), ab, rhs)
+        """(A - sigma I)^(-1) rhs by tridiagonal LU (LAPACK dgttrf) and
+        Sherman-Morrison.  The factors of the last shift, the column
+        z = (T - sigma I)^(-1) u and 1 + rho u.z are kept: a later solve is
+        one back substitution, bit for bit a fresh factorization's result.
+        Non-finite input raises ValueError, a singular pivot LinAlgError."""
+        rhs = np.asarray(rhs, dtype=float)
+        if not np.isfinite(rhs).all():
+            raise ValueError("right-hand side must not contain infs or NaNs")
+        if self._shift is None or self._shift[0] != sigma:
+            diag = self.main - sigma
+            if not all(np.isfinite(a).all() for a in (diag, self.upper, self.lower)):
+                raise ValueError("matrix must not contain infs or NaNs")
+            *lu, info = dgttrf(self.lower, diag, self.upper)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular matrix")
+            sm = None
+            if self.rank1 is not None:
+                rho, u = self.rank1
+                z = dgttrs(*lu, u)[0]
+                sm = (z, 1.0 + rho * (u @ z))
+            self._shift = (sigma, lu, sm)
+        _, lu, sm = self._shift
+        y = dgttrs(*lu, rhs)[0]
+        if sm is None:
+            return y
         rho, u = self.rank1
-        stacked = sla.solve_banded((1, 1), ab, np.column_stack([rhs, u]))
-        y, z = stacked[:, 0], stacked[:, 1]
-        denom = 1.0 + rho * (u @ z)
+        z, denom = sm
         return y - (rho * (u @ y) / denom) * z
 
 

@@ -55,7 +55,7 @@ from .grid import (
     symmetric_tridiagonal,
 )
 from .measure import weighted_norm
-from .spectral import smallest_eigenpairs
+from .spectral import _warm_ground_pair, smallest_eigenpairs
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +313,20 @@ def solve_ground_state(
         coupling = nq ** (2.0 - q)
         Veff = -coupling * psi ** (q - 2.0)
         diag, off = symmetric_tridiagonal(grid, 0, Veff)
-        eigs, vecs, _, _ = smallest_eigenpairs(diag, off, k=1, tol=tol)
-        new = vecs[:, 0] / np.sqrt(w)
+        # the previous iterate is a near-exact eigenvector of this operator
+        pair = _warm_ground_pair(diag, off, np.sqrt(w) * psi, tol)
+        if pair is None:
+            eigs, vecs, _, _ = smallest_eigenpairs(diag, off, k=1, tol=tol)
+            pair = eigs[0], vecs[:, 0]
+        new = pair[1] / np.sqrt(w)
         new = np.abs(new)
         new /= math.sqrt(w @ new**2)
         psi = new
-        energy = float(eigs[0])
+        energy = float(pair[0])
         residual = _el_residual(grid, psi, energy, coupling, q)
         if residual <= tol_eff:
             break
-    if residual > tol_eff:
+    if not residual <= tol_eff:
         raise ConvergenceError(
             f"profile solve stalled at residual {residual:.3e}",
             best=GridFunction(grid, psi),

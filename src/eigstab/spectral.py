@@ -6,7 +6,8 @@ LAPACK bisection + inverse iteration, which cannot be fooled by clusters
 of nearly degenerate low eigenvalues.  With a rank-one term the pairs
 come from shift-invert Lanczos, with the shift placed strictly below the
 spectrum so the magnitude ordering matches the eigenvalue ordering;
-shifted solves use banded LU plus the Sherman-Morrison formula.
+shifted solves use tridiagonal LU, factored once per shift, plus the
+Sherman-Morrison formula.
 Everything is deterministic for fixed inputs.
 """
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .exceptions import ConvergenceError, DegenerateInputError
 from .grid import (
@@ -36,6 +38,32 @@ class EigenPair:
     psi: GridFunction       # L2-normalized, sign-fixed positive at max |psi|
     residual: float
     iterations: int | None  # neither LAPACK nor ARPACK reports a count
+
+
+def _inverse_step(A: _Tridiag, solve, v):
+    """One inverse-iteration step, solve(v) = (A - sigma I)^(-1) v made a
+    unit vector: (its Rayleigh quotient, it), or None when the solve is
+    singular or its result zero or not finite."""
+    try:
+        y = solve(v)
+    except np.linalg.LinAlgError:
+        return None
+    ny = np.linalg.norm(y)
+    if not 0.0 < ny < np.inf:
+        return None
+    v = y / ny
+    return float(v @ A.matvec(v)), v
+
+
+def _gate(A: _Tridiag, eigs, vecs, tol: float):
+    """(residuals ||A v - lam v|| of the pairs, the target tol_eff = tol
+    floored at the rounding level 50 * eps * ||A||, which large grids
+    cannot get below, and whether all are within it; NaN is not)."""
+    residuals = np.array(
+        [np.linalg.norm(A.matvec(vecs[:, j]) - eigs[j] * vecs[:, j]) for j in range(len(eigs))]
+    )
+    tol_eff = max(tol, 50.0 * np.finfo(float).eps * A.opnorm)
+    return residuals, tol_eff, bool(residuals.max() <= tol_eff)
 
 
 def smallest_eigenpairs(
@@ -58,7 +86,6 @@ def smallest_eigenpairs(
     below for large grids.
     """
     A = _Tridiag(diag, off, rank1=rank1)
-    tol_eff = max(tol, 50.0 * np.finfo(float).eps * A.opnorm)
 
     if A.rank1 is None:
         eigs, vecs = sla.eigh_tridiagonal(
@@ -93,29 +120,58 @@ def smallest_eigenpairs(
         # one inverse-iteration polish per pair: ARPACK residuals in
         # shift-invert mode sit a little above rounding level
         for j in range(k):
-            v = vecs[:, j]
-            try:
-                y = A.solve_shifted(eigs[j], v)
-            except np.linalg.LinAlgError:
-                continue
-            ny = np.linalg.norm(y)
-            if not np.isfinite(ny) or ny == 0.0:
-                continue
-            v = y / ny
-            eigs[j] = float(v @ A.matvec(v))
-            vecs[:, j] = v
+            step = _inverse_step(A, lambda b: A.solve_shifted(eigs[j], b), vecs[:, j])
+            if step is not None:
+                eigs[j], vecs[:, j] = step
 
-    residuals = np.array(
-        [np.linalg.norm(A.matvec(vecs[:, j]) - eigs[j] * vecs[:, j]) for j in range(k)]
-    )
-    worst = float(residuals.max())
-    if worst > tol_eff:
+    residuals, tol_eff, ok = _gate(A, eigs, vecs, tol)
+    if not ok:
+        worst = float(residuals.max())
         raise ConvergenceError(
             f"eigensolve residual {worst:.3e} exceeds target {tol_eff:.3e}",
             best=vecs,
             residual=worst,
         )
     return np.asarray(eigs, dtype=float), vecs, residuals, None
+
+
+#: the shifts _warm_ground_pair tries below the guess, and its steps
+WARM_LOWERINGS, WARM_STEPS = 8, 3
+
+
+def _warm_ground_pair(diag, off, guess, tol: float = DEFAULT_TOL):
+    """Certified lowest eigenpair (lam, unit vector) of the symmetric
+    tridiagonal (diag, off) from a nearby guess, or None.
+
+    Inverse iteration at a shift sigma that dpttrf certifies below
+    lambda_0, started at the guess's Rayleigh quotient less its residual;
+    the result must pass the gate of :func:`smallest_eigenpairs` and
+    A - (lam - tol_eff) I must factor, so lam is lambda_0 to within
+    tol_eff (docs/derivations.md §10).
+    """
+    A = _Tridiag(diag, off)
+    nv = np.linalg.norm(guess)
+    if not 0.0 < nv < np.inf:
+        return None
+    v = np.asarray(guess, dtype=float) / nv
+    rho = float(v @ A.matvec(v))
+    (r,), tol_eff, _ = _gate(A, [rho], v[:, None], tol)
+    sigma, step = rho - r, max(r, tol_eff)
+    for _ in range(WARM_LOWERINGS):
+        d, e, info = dpttrf(A.main - sigma, A.upper)
+        if info == 0:
+            break
+        sigma, step = sigma - step, 2.0 * step
+    else:
+        return None
+    for _ in range(WARM_STEPS):
+        pair = _inverse_step(A, lambda b: dpttrs(d, e, b)[0], v)
+        if pair is None:
+            return None
+        lam, v = pair
+    if not _gate(A, [lam], v[:, None], tol)[2]:
+        return None
+    return (lam, v) if dpttrf(A.main - (lam - tol_eff), A.upper)[2] == 0 else None
 
 
 def rayleigh_quotient(psi: GridFunction, V: GridFunction) -> float:

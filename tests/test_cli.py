@@ -457,3 +457,24 @@ def test_grid_spacing_out_of_range_is_config_error(capsys, flags):
     assert out == ""
     assert err.startswith("error: invalid grid:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("ground-state", "--gamma", "1.5", "--d", "1", "--grid-l", "3e-151"),
+        ("ground-state", "--gamma", "1.5", "--d", "1", "--grid-l", "4e-151"),
+        ("convergence", "--grid-l", "5.3e-151"),
+        ("convergence", "--grid-l", "1e-70"),
+    ],
+    ids=["ground-state-3e-151", "ground-state-4e-151", "convergence-5.3e-151",
+         "convergence-1e-70"],
+)
+def test_laplacian_out_of_range_is_config_error(capsys, flags):
+    # 1/h^2 is finite for these extents, but 2/h^2, the radial edge terms
+    # or LAPACK's scaled squares of them are not
+    code, out, err = run_cli(capsys, *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid grid:")
+    assert err.count("\n") == 1
