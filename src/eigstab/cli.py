@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EigstabError
-from .grid import Grid, GridFunction, csv_text, exact, laplacian_tridiagonal
+from .grid import Grid, GridFunction, csv_text, exact
 from .groundstate import (
     Exponents,
     keller_constant,
@@ -200,12 +200,9 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def _grid(cfg: RunConfig, kind: str, n: int | None = None) -> Grid:
-    """The configured grid; a rejected geometry, or one whose Laplacian
-    leaves floating-point range, is a configuration error."""
+    """The configured grid; a rejected geometry is a configuration error."""
     try:
-        grid = Grid(kind, cfg.d if kind == "radial" else 1, cfg.grid_l, n or cfg.grid_n)
-        laplacian_tridiagonal(grid)
-        return grid
+        return Grid(kind, cfg.d if kind == "radial" else 1, cfg.grid_l, n or cfg.grid_n)
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 

@@ -92,8 +92,12 @@ class Grid(WeightedMeasure):
             h = self.extent / self.n
             nodes = (np.arange(self.n) + 0.5) * h
             weights = surface_area(self.dim) * nodes ** (self.dim - 1) * h
-        if not (0.0 < h * h < np.inf and 1.0 / (h * h) < np.inf):
-            raise ValueError(f"spacing {h:g} puts 1/h^2 out of floating-point range")
+        # the ell = 0 Laplacian's row sums are at most 2^max(d, 2) / h^2; they
+        # must stay below sqrt(float max) * eps, since LAPACK's tridiagonal
+        # eigensolvers fail long before the entries overflow (derivations §10)
+        cap = np.sqrt(np.finfo(float).max) * np.finfo(float).eps
+        if not (0.0 < h * h < np.inf and 2.0 ** max(self.dim, 2) / (h * h) < cap):
+            raise ValueError(f"spacing {h:g} puts 1/h^2 and the Laplacian out of floating-point range")
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "spacing", h)
@@ -189,7 +193,6 @@ def norm_l2(f: GridFunction) -> float:
 norm_lp = lp_norm  # a grid's L^p norm is its measure's
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def laplacian_tridiagonal(grid: Grid, ell: int = 0):
     """Tridiagonal nodal matrix (main, upper, lower) of the operator
 
@@ -197,7 +200,7 @@ def laplacian_tridiagonal(grid: Grid, ell: int = 0):
 
     in flux form (line grids: plain -f'' with Dirichlet ghosts).  The
     matrix is symmetric under the quadrature inner product:
-    w_i A[i, i+1] = w_{i+1} A[i+1, i].  See :func:`_in_range`.
+    w_i A[i, i+1] = w_{i+1} A[i+1, i].
     """
     n, h = grid.n, grid.spacing
     e = grid.edge_factors()
@@ -206,7 +209,7 @@ def laplacian_tridiagonal(grid: Grid, ell: int = 0):
             raise UnsupportedChannelError("line grids only support ell = 0")
         main = np.full(n, 2.0 / h**2)
         off = np.full(n - 1, -1.0 / h**2)
-        return _in_range(h, main, off, off.copy())
+        return main, off, off.copy()
 
     if ell < 0:
         raise UnsupportedChannelError("ell must be nonnegative")
@@ -227,16 +230,6 @@ def laplacian_tridiagonal(grid: Grid, ell: int = 0):
     cent = ell * (ell + grid.dim - 2)
     if cent != 0:
         main = main + cent / r**2
-    return _in_range(h, main, upper, lower)
-
-
-def _in_range(h, main, upper, lower):
-    """(main, upper, lower), refused with ValueError once a row sum, at most
-    twice the largest diagonal entry, reaches sqrt(float max) * eps (about
-    3e138): LAPACK's tridiagonal eigensolvers fail well before the entries
-    overflow (dstein gave NaN vectors from 1e148 on at n = 16000)."""
-    if not 2.0 * main.max() < np.sqrt(np.finfo(float).max) * np.finfo(float).eps:
-        raise ValueError(f"spacing {h:g} puts the Laplacian's entries out of floating-point range")
     return main, upper, lower
 
 

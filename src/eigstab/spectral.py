@@ -55,15 +55,15 @@ def _inverse_step(A: _Tridiag, solve, v):
     return float(v @ A.matvec(v)), v
 
 
-def _gate(A: _Tridiag, eigs, vecs, tol: float):
-    """(residuals ||A v - lam v|| of the pairs, the target tol_eff = tol
-    floored at the rounding level 50 * eps * ||A||, which large grids
-    cannot get below, and whether all are within it; NaN is not)."""
-    residuals = np.array(
-        [np.linalg.norm(A.matvec(vecs[:, j]) - eigs[j] * vecs[:, j]) for j in range(len(eigs))]
-    )
-    tol_eff = max(tol, 50.0 * np.finfo(float).eps * A.opnorm)
-    return residuals, tol_eff, bool(residuals.max() <= tol_eff)
+def _residual(A: _Tridiag, lam, v) -> float:
+    """||A v - lam v||."""
+    return float(np.linalg.norm(A.matvec(v) - lam * v))
+
+
+def _tol_eff(A: _Tridiag, tol: float) -> float:
+    """The residual gate's target: tol floored at the rounding level
+    50 * eps * ||A||, which large grids cannot get below."""
+    return max(tol, 50.0 * np.finfo(float).eps * A.opnorm)
 
 
 def smallest_eigenpairs(
@@ -124,9 +124,10 @@ def smallest_eigenpairs(
             if step is not None:
                 eigs[j], vecs[:, j] = step
 
-    residuals, tol_eff, ok = _gate(A, eigs, vecs, tol)
-    if not ok:
-        worst = float(residuals.max())
+    residuals = np.array([_residual(A, eigs[j], vecs[:, j]) for j in range(len(eigs))])
+    tol_eff = _tol_eff(A, tol)
+    worst = float(residuals.max())
+    if not worst <= tol_eff:
         raise ConvergenceError(
             f"eigensolve residual {worst:.3e} exceeds target {tol_eff:.3e}",
             best=vecs,
@@ -135,17 +136,13 @@ def smallest_eigenpairs(
     return np.asarray(eigs, dtype=float), vecs, residuals, None
 
 
-#: the shifts _warm_ground_pair tries below the guess, and its steps
-WARM_LOWERINGS, WARM_STEPS = 8, 3
-
-
 def _warm_ground_pair(diag, off, guess, tol: float = DEFAULT_TOL):
     """Certified lowest eigenpair (lam, unit vector) of the symmetric
     tridiagonal (diag, off) from a nearby guess, or None.
 
-    Inverse iteration at a shift sigma that dpttrf certifies below
-    lambda_0, started at the guess's Rayleigh quotient less its residual;
-    the result must pass the gate of :func:`smallest_eigenpairs` and
+    Three inverse-iteration steps at sigma = the guess's Rayleigh quotient
+    less its residual, which dpttrf must certify below lambda_0; the result
+    must pass the gate of :func:`smallest_eigenpairs` and
     A - (lam - tol_eff) I must factor, so lam is lambda_0 to within
     tol_eff (docs/derivations.md §10).
     """
@@ -155,23 +152,18 @@ def _warm_ground_pair(diag, off, guess, tol: float = DEFAULT_TOL):
         return None
     v = np.asarray(guess, dtype=float) / nv
     rho = float(v @ A.matvec(v))
-    (r,), tol_eff, _ = _gate(A, [rho], v[:, None], tol)
-    sigma, step = rho - r, max(r, tol_eff)
-    for _ in range(WARM_LOWERINGS):
-        d, e, info = dpttrf(A.main - sigma, A.upper)
-        if info == 0:
-            break
-        sigma, step = sigma - step, 2.0 * step
-    else:
+    d, e, info = dpttrf(A.main - (rho - _residual(A, rho, v)), A.upper)
+    if info != 0:
         return None
-    for _ in range(WARM_STEPS):
+    for _ in range(3):
         pair = _inverse_step(A, lambda b: dpttrs(d, e, b)[0], v)
         if pair is None:
             return None
         lam, v = pair
-    if not _gate(A, [lam], v[:, None], tol)[2]:
-        return None
-    return (lam, v) if dpttrf(A.main - (lam - tol_eff), A.upper)[2] == 0 else None
+    tol_eff = _tol_eff(A, tol)
+    if _residual(A, lam, v) <= tol_eff and dpttrf(A.main - (lam - tol_eff), A.upper)[2] == 0:
+        return lam, v
+    return None
 
 
 def rayleigh_quotient(psi: GridFunction, V: GridFunction) -> float:

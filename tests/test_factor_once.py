@@ -143,12 +143,29 @@ def test_warm_pair_refuses_a_missed_residual(sech_well):
     assert _warm_ground_pair(diag, off, np.ones(diag.size)) is None
 
 
-def test_smallest_eigenpairs_refuses_nan_vectors():
-    # LAPACK's dstein returns NaN vectors for entries this large; a NaN
-    # residual must fail the gate, not pass it
-    n = 4000
+def test_smallest_eigenpairs_refuses_nan_vectors(monkeypatch):
+    # a NaN residual must fail the gate, not pass it, whatever vectors this
+    # LAPACK build's dstein returns
+    def nan_pairs(d, e, **kwargs):
+        return np.zeros(1), np.full((d.size, 1), np.nan)
+
+    monkeypatch.setattr(sla, "eigh_tridiagonal", nan_pairs)
+    n = 100
     with pytest.raises(ConvergenceError):
-        smallest_eigenpairs(np.full(n, 2e150), np.full(n - 1, -1e150))
+        smallest_eigenpairs(np.full(n, 2.0), np.full(n - 1, -1.0))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Grid.line(1e-70, 2000), lambda: Grid.radial(1, 3e-151, 2000),
+     lambda: Grid.radial(3, 1.5e-67, 100)],
+    ids=["line", "radial-d1", "radial-d3"],
+)
+def test_grid_refuses_a_laplacian_out_of_range(make):
+    # 1/h^2 is finite here, but the Laplacian's row sums are past
+    # sqrt(float max) * eps, where LAPACK's eigensolvers give NaN
+    with pytest.raises(ValueError, match="out of floating-point range"):
+        make()
 
 
 # -- the SCF polish ------------------------------------------------------------
