@@ -33,6 +33,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -180,6 +181,13 @@ class GroundState:
     @property
     def grid(self) -> Grid:
         return self.Q.grid
+
+    @cached_property
+    def _v0neg(self):
+        """V0_-(r) = (Q(r)/||Q||_q)^(q-2), built once: Q is read-only, and the
+        callable holds no reference to self, so caching it makes no cycle."""
+        prof, norm_q, qm2 = profile_interpolant(self), self.norm_q, self.q - 2.0
+        return lambda r: (prof(r) / norm_q) ** qm2
 
     def to_json(self) -> str:
         return json.dumps(
@@ -380,22 +388,15 @@ def profile_interpolant(gs: GroundState):
 
 
 def _base_profile(gs: GroundState):
-    """Callable V0_-(r) = (Q(r)/||Q||_q)^(q-2) of the unit-scale member."""
-    prof = profile_interpolant(gs)
-    qm2 = gs.q - 2.0
-
-    def v0neg(r):
-        return (prof(r) / gs.norm_q) ** qm2
-
-    return v0neg
+    """Callable V0_-(r) of the unit-scale member, one per ground state."""
+    return gs._v0neg
 
 
 def _family_neg(
     gs: GroundState, grid: Grid, b: float, a: float, v0=None
 ) -> np.ndarray:
-    """Nodal values of W_- for the member with parameters (b, a); pass a
-    prebuilt ``v0 = _base_profile(gs)`` to evaluate many members on one
-    interpolant."""
+    """Nodal values of W_- for the member with parameters (b, a); ``v0``
+    defaults to the ground state's one profile interpolant."""
     if v0 is None:
         v0 = _base_profile(gs)
     x = grid.nodes

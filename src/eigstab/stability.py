@@ -136,9 +136,31 @@ def _distance_objective(vneg_vals, w_vals, weights, exps: Exponents, power: bool
     return weighted_norm(np.abs(u - w), weights, pnorm) / denom
 
 
-def _scan_shift(
-    vneg: GridFunction, gs: GroundState, b: float, exps: Exponents, power: bool, denom: float, v0=None
-):
+def _window_sums(u, lattice, weights, pnorm: float, stride: int) -> np.ndarray:
+    """sum_i w_i |u_i - l_(s+i)|^pnorm at every stride-th node shift j, whose
+    window starts at s = n - 1 - j.  At pnorm = 2 that is sum w u^2 -
+    2 corr(w u, l)(s) + corr(w, l^2)(s): one FFT correlation, padded to a power
+    of two >= 2n - 1 so nothing wraps.  Other exponents sum SCAN_BLOCK rows at a time."""
+    n = len(u)
+    if pnorm == 2.0:
+        size = 1 << (2 * n - 2).bit_length()
+        lat = np.fft.rfft([lattice, lattice**2], size)
+        wts = np.fft.rfft([weights * u, weights], size).conj()
+        corr = np.fft.irfft(lat[1] * wts[1] - 2.0 * lat[0] * wts[0], size)
+        return (weights @ u**2 + corr)[n - 1 :: -stride]
+    rows = sliding_window_view(lattice, n)[n - 1 :: -stride]
+    sums = np.empty(len(rows))
+    buf = np.empty((SCAN_BLOCK, n))
+    for s in range(0, len(rows), SCAN_BLOCK):
+        block = rows[s : s + SCAN_BLOCK]
+        out = np.subtract(u, block, out=buf[: len(block)])
+        np.abs(out, out=out)
+        np.power(out, pnorm, out=out)
+        np.matmul(out, weights, out=sums[s : s + len(block)])
+    return sums
+
+
+def _scan_shift(vneg: GridFunction, gs: GroundState, b: float, exps: Exponents, power: bool, denom: float):
     """Minimize the distance over the shift a; radial grids are centered
     by construction, so a = 0 there.  On line grids every node shift of W_-
     is a window of one lattice sample (W_-(x_i - x_j) = b^2 V0_-(b h |i - j|)).
@@ -149,29 +171,19 @@ def _scan_shift(
     from scipy.optimize import minimize_scalar
 
     grid, weights = vneg.grid, vneg.grid.quad_weights
-    if v0 is None:
-        v0 = _base_profile(gs)
 
     def objective(a):
-        w_vals = _family_neg(gs, grid, b, a, v0)
+        w_vals = _family_neg(gs, grid, b, a)
         return _distance_objective(vneg.values, w_vals, weights, exps, power, denom)
 
     if grid.kind == "radial":
         return objective(0.0), 0.0
 
     n, h = grid.n, grid.spacing
+    v0 = _base_profile(gs)
     lattice, _ = _branch_map(b**2 * v0(b * h * np.abs(np.arange(1 - n, n))), exps, power)
     u, pnorm = _branch_map(vneg.values, exps, power)
-    # node shift j is the window that starts at n - 1 - j
-    rows = sliding_window_view(lattice, n)[n - 1 :: -SCAN_STRIDE]
-    sums = np.empty(len(rows))
-    buf = np.empty((SCAN_BLOCK, n))
-    for s in range(0, len(rows), SCAN_BLOCK):
-        block = rows[s : s + SCAN_BLOCK]
-        out = np.subtract(u, block, out=buf[: len(block)])
-        np.abs(out, out=out)
-        np.power(out, pnorm, out=out)
-        np.matmul(out, weights, out=sums[s : s + len(block)])
+    sums = _window_sums(u, lattice, weights, pnorm, SCAN_STRIDE)
     a0 = float(grid.nodes[SCAN_STRIDE * int(np.argmin(sums))])
     bracket = (a0 - SCAN_STRIDE * h, a0 + SCAN_STRIDE * h)
     res = minimize_scalar(
@@ -180,10 +192,10 @@ def _scan_shift(
     return min((objective(a0), a0), (float(res.fun), float(res.x)))
 
 
-def _branch_distance(vneg: GridFunction, exps: Exponents, gs: GroundState, power: bool, v0=None):
+def _branch_distance(vneg: GridFunction, exps: Exponents, gs: GroundState, power: bool):
     """(distance, a, b) in the low or high (power) branch; see distance_to_manifold."""
     b = _matched_scale(vneg, exps, gs, power)
-    dist, a = _scan_shift(vneg, gs, b, exps, power, _branch_norm(vneg, exps, power), v0)
+    dist, a = _scan_shift(vneg, gs, b, exps, power, _branch_norm(vneg, exps, power))
     return dist, a, b
 
 
@@ -247,8 +259,7 @@ def stability_report(V: GridFunction, gamma: float, d: int, gs: GroundState) -> 
     exps, vneg = _attractive_part(V, gamma, d, gs)
     lam, ratio = _lambda_ratio(V, vneg, exps)
     dfc = gs.C_prime - ratio
-    v0 = _base_profile(gs)
-    dist, a, b = _branch_distance(vneg, exps, gs, exps.p > 2.0, v0)
+    dist, a, b = _branch_distance(vneg, exps, gs, exps.p > 2.0)
     branch = "low" if exps.p <= 2.0 else "high"
     emp = None
     if dist >= DISTANCE_FLOOR:
@@ -258,12 +269,12 @@ def stability_report(V: GridFunction, gamma: float, d: int, gs: GroundState) -> 
     if exps.p >= 2.0:
         # at p = 2 the power map is the identity, so the branch scan is the L^p scan
         transfer, ap, bp = (
-            (dist, a, b) if exps.p == 2.0 else _branch_distance(vneg, exps, gs, False, v0)
+            (dist, a, b) if exps.p == 2.0 else _branch_distance(vneg, exps, gs, False)
         )
         if transfer >= DISTANCE_FLOOR:
             transfer_ratio = dfc / (gs.C_prime * transfer ** (2.0 * gamma + d - 2.0))
         # both sides of the transfer comparison at the p-matched member
-        w_vals = _family_neg(gs, V.grid, bp, ap, v0)
+        w_vals = _family_neg(gs, V.grid, bp, ap)
         weights = V.grid.quad_weights
         lp_diff = _distance_objective(vneg.values, w_vals, weights, exps, False, 1.0)
         trans_lhs = (1.0 / exps.p) * (lp_diff / 2.0) ** (exps.p - 1.0)

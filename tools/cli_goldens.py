@@ -24,7 +24,9 @@ import numpy as np
 
 #: the README commands, with ``--out`` dropped and ``{well}`` standing for a
 #: -2 sech^2 potential sampled at 4001 points on [-20, 20]; the sweep also
-#: runs once in its default JSON format, the summary path
+#: runs once in its default JSON format, the summary path, and once at
+#: gamma = 2.5 (p = 3), the high branch, whose line scans take the blocked
+#: (non-FFT) window sums
 COMMANDS = (
     "constants --gamma 1.5 --d 1",
     "ground-state --q 4 --d 1",
@@ -33,6 +35,7 @@ COMMANDS = (
     "hessian --q 4 --d 3 --grid-l 1500 --grid-n 6000",
     "stability-sweep --gamma 1.5 --d 1",
     "stability-sweep --gamma 1.5 --d 1 --format csv",
+    "stability-sweep --gamma 2.5 --d 1 --format csv",
     "stability-sweep --d 3 --grid-l 250 --grid-n 4000 --format csv",
     "convergence",
     "convergence --format csv",
