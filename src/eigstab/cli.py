@@ -10,6 +10,11 @@ Subcommands::
     stability-sweep  corpus sweep CSV plus min empirical stability ratio
     convergence      Richardson table for the reference eigenvalue
 
+Each subcommand takes only the flags of the settings it reads
+(``eigstab <cmd> --help``), plus ``--config``; any other flag, or an
+abbreviated one, exits 2.  A config file may hold any setting, so one
+file can serve several subcommands; flags win over the file.
+
 Exit status: 0 if every asserted contract holds, 1 on a contract
 violation (with a pointer to the offending record), 2 on invalid
 configuration.  Identical configuration and seed produce byte-identical
@@ -24,17 +29,12 @@ import functools
 import json
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import EigstabError
 from .grid import Grid, GridFunction, csv_text, exact
-from .groundstate import (
-    Exponents,
-    keller_constant,
-    solve_ground_state,
-)
+from .groundstate import Exponents, keller_constant, solve_ground_state
 from .hessian import kernel_report
 from .holder import FUZZ_EXPONENTS, fuzz_inequalities
 from .spectral import lowest_eigenpair
@@ -52,57 +52,15 @@ class ContractViolation(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    gamma: float | None = None
-    q: float | None = None
-    d: int = 1
-    grid_l: float = 20.0
-    grid_n: int = 4000
-    tol: float = 1e-10
-    seed: int = 0
-    samples: int = 1000
-    out: str | None = None
-    format: str = "json"
-    potential: str | None = None
-    p: float | None = None
-
-
-_CONFIG_TYPES = {
-    "gamma": float, "q": float, "d": int, "grid_l": float, "grid_n": int,
-    "tol": float, "seed": int, "samples": int, "out": str, "format": str,
-    "potential": str, "p": float,
+#: every setting, name -> (type, default); a run's settings are an
+#: ``argparse.Namespace`` holding all of them
+SETTINGS = {
+    "gamma": (float, None), "q": (float, None), "d": (int, 1),
+    "grid_l": (float, 20.0), "grid_n": (int, 4000), "tol": (float, 1e-10),
+    "seed": (int, 0), "samples": (int, 1000), "out": (str, None),
+    "format": (str, "json"), "potential": (str, None), "p": (float, None),
 }
 _FORMATS = ("csv", "json")
-
-
-# Built once per process: a parser is a web of reference cycles, and one
-# per call left garbage that only a full collection frees, so the memory of
-# a process calling main() in a loop crept up between collections.
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eigstab", description="sharp eigenvalue bounds and their stability"
-    )
-    sub = parser.add_subparsers(dest="command")
-    for name in (
-        "ground-state",
-        "constants",
-        "eigen",
-        "holder-verify",
-        "hessian",
-        "stability-sweep",
-        "convergence",
-    ):
-        cmd = sub.add_parser(name)
-        for attr, kind in _CONFIG_TYPES.items():
-            cmd.add_argument(
-                "--" + attr.replace("_", "-"), type=kind, default=None,
-                choices=_FORMATS if attr == "format" else None,
-            )
-        cmd.add_argument("--config", type=str, default=None)
-    return parser
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
@@ -122,10 +80,10 @@ def _config_value(key: str, kind: type, value):
     raise ConfigError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
+def _load_config(args: argparse.Namespace) -> argparse.Namespace:
     if args.command is None:
         raise ConfigError("no subcommand given")
-    cfg = RunConfig(command=args.command)
+    cfg = argparse.Namespace(command=args.command, **{k: v for k, (_, v) in SETTINGS.items()})
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -144,18 +102,18 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 cfg.grid_n = _config_value("grid.n", int, grid["n"])
         for key, value in doc.items():
             attr = key.replace("-", "_")
-            if not hasattr(cfg, attr) or attr == "command":
+            if attr not in SETTINGS:
                 raise ConfigError(f"unknown config key {key!r}")
             if value is not None or getattr(cfg, attr) is not None:  # null keeps a None default
-                value = _config_value(key, _CONFIG_TYPES[attr], value)
+                value = _config_value(key, SETTINGS[attr][0], value)
             setattr(cfg, attr, value)
     # explicit flags win over the config file
-    for attr in _CONFIG_TYPES:
+    for attr in _COMMANDS[args.command][1]:
         val = getattr(args, attr)
         if val is not None:
             setattr(cfg, attr, val)
 
-    for attr, kind in _CONFIG_TYPES.items():
+    for attr, (kind, _) in SETTINGS.items():
         val = getattr(cfg, attr)
         if kind is float and val is not None and not np.isfinite(val):
             raise ConfigError(f"{attr} must be finite, got {val!r}")
@@ -176,7 +134,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _exponents(cfg: RunConfig, default_gamma: float | None = None) -> Exponents:
+def _exponents(cfg: argparse.Namespace, default_gamma: float | None = None) -> Exponents:
     try:
         if cfg.gamma is not None:
             return Exponents.from_gamma(cfg.gamma, cfg.d)
@@ -189,7 +147,7 @@ def _exponents(cfg: RunConfig, default_gamma: float | None = None) -> Exponents:
     raise ConfigError("one of --gamma or --q is required")
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if cfg.out is None:
@@ -199,7 +157,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
             fh.write(text)
 
 
-def _grid(cfg: RunConfig, kind: str, n: int | None = None) -> Grid:
+def _grid(cfg: argparse.Namespace, kind: str, n: int | None = None) -> Grid:
     """The configured grid; a rejected geometry is a configuration error."""
     try:
         return Grid(kind, cfg.d if kind == "radial" else 1, cfg.grid_l, n or cfg.grid_n)
@@ -207,7 +165,7 @@ def _grid(cfg: RunConfig, kind: str, n: int | None = None) -> Grid:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
 
-def _solve(cfg: RunConfig, exps: Exponents):
+def _solve(cfg: argparse.Namespace, exps: Exponents):
     grid = _grid(cfg, "radial")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -219,12 +177,12 @@ def _solve(cfg: RunConfig, exps: Exponents):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_ground_state(cfg: RunConfig) -> None:
+def _cmd_ground_state(cfg: argparse.Namespace) -> None:
     gs = _solve(cfg, _exponents(cfg))
     _emit(cfg, gs.to_json())
 
 
-def _cmd_constants(cfg: RunConfig) -> None:
+def _cmd_constants(cfg: argparse.Namespace) -> None:
     exps = _exponents(cfg)
     gs = _solve(cfg, exps)
     kc = keller_constant(exps.gamma, cfg.d, gs)
@@ -252,7 +210,7 @@ def _cmd_constants(cfg: RunConfig) -> None:
         )
 
 
-def _read_potential(cfg: RunConfig, grid: Grid) -> GridFunction:
+def _read_potential(cfg: argparse.Namespace, grid: Grid) -> GridFunction:
     if cfg.potential is None:
         raise ConfigError("eigen requires --potential <csv>")
     try:
@@ -283,7 +241,7 @@ def _read_potential(cfg: RunConfig, grid: Grid) -> GridFunction:
     return GridFunction(grid, resampled)
 
 
-def _cmd_eigen(cfg: RunConfig) -> None:
+def _cmd_eigen(cfg: argparse.Namespace) -> None:
     grid = _grid(cfg, "line" if cfg.d == 1 else "radial")
     V = _read_potential(cfg, grid)
     pair = lowest_eigenpair(V, 0, tol=cfg.tol)
@@ -299,7 +257,7 @@ def _cmd_eigen(cfg: RunConfig) -> None:
     )
 
 
-def _cmd_holder_verify(cfg: RunConfig) -> None:
+def _cmd_holder_verify(cfg: argparse.Namespace) -> None:
     exponents = (cfg.p,) if cfg.p is not None else FUZZ_EXPONENTS
     for p in exponents:
         if p < 2.0:
@@ -325,7 +283,7 @@ def _cmd_holder_verify(cfg: RunConfig) -> None:
         raise ContractViolation(rep.first_violation)
 
 
-def _cmd_hessian(cfg: RunConfig) -> None:
+def _cmd_hessian(cfg: argparse.Namespace) -> None:
     gs = _solve(cfg, _exponents(cfg))
     report = kernel_report(gs)
     _emit(cfg, report.to_json())
@@ -337,7 +295,7 @@ def _cmd_hessian(cfg: RunConfig) -> None:
         )
 
 
-def _cmd_stability_sweep(cfg: RunConfig) -> None:
+def _cmd_stability_sweep(cfg: argparse.Namespace) -> None:
     exps = _exponents(cfg, default_gamma=1.5 if cfg.d == 1 else 1.0)
     gs = _solve(cfg, exps)
     if cfg.d == 1:
@@ -364,7 +322,7 @@ def _cmd_stability_sweep(cfg: RunConfig) -> None:
         raise ContractViolation(f"min empirical c = {result.min_empirical_c!r}")
 
 
-def _cmd_convergence(cfg: RunConfig) -> None:
+def _cmd_convergence(cfg: argparse.Namespace) -> None:
     """Richardson table for lambda(-2 sech^2) against the exact value -1."""
     rows, prev_err = [], None
     for level in range(3):
@@ -387,41 +345,54 @@ def _cmd_convergence(cfg: RunConfig) -> None:
             )
 
 
+_SOLVE = ("gamma", "q", "d", "grid_l", "grid_n", "tol", "out")
+
+#: subcommand -> (handler, the settings it reads); its parser offers a
+#: flag for each of them and nothing else but --config
 _COMMANDS = {
-    "ground-state": _cmd_ground_state,
-    "constants": _cmd_constants,
-    "eigen": _cmd_eigen,
-    "holder-verify": _cmd_holder_verify,
-    "hessian": _cmd_hessian,
-    "stability-sweep": _cmd_stability_sweep,
-    "convergence": _cmd_convergence,
+    "ground-state": (_cmd_ground_state, _SOLVE),
+    "constants": (_cmd_constants, _SOLVE),
+    "eigen": (_cmd_eigen, ("d", "grid_l", "grid_n", "tol", "potential", "out")),
+    "holder-verify": (_cmd_holder_verify, ("samples", "seed", "p", "out")),
+    "hessian": (_cmd_hessian, _SOLVE),
+    "stability-sweep": (_cmd_stability_sweep, _SOLVE + ("format",)),
+    "convergence": (_cmd_convergence, ("grid_l", "grid_n", "tol", "format", "out")),
 }
 
 
-def run(cfg: RunConfig) -> int:
-    try:
-        _COMMANDS[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ContractViolation as exc:
-        print(f"contract violation: {exc}", file=sys.stderr)
-        return 1
-    except EigstabError as exc:
-        print(f"contract violation: {exc}", file=sys.stderr)
-        return 1
-    return 0
+# Built once per process: a parser is a web of reference cycles, and one
+# per call left garbage that only a full collection frees, so the memory of
+# a process calling main() in a loop crept up between collections.
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="eigstab", description="sharp eigenvalue bounds and their stability"
+    )
+    sub = parser.add_subparsers(dest="command")
+    for name, (_, settings) in _COMMANDS.items():
+        # no abbreviations: eigen would take --p for --potential
+        cmd = sub.add_parser(name, allow_abbrev=False)
+        for attr in settings:
+            cmd.add_argument(
+                "--" + attr.replace("_", "-"), type=SETTINGS[attr][0], default=None,
+                choices=_FORMATS if attr == "format" else None,
+            )
+        cmd.add_argument("--config", type=str, default=None)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        _COMMANDS[cfg.command][0](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    except (ContractViolation, EigstabError) as exc:
+        print(f"contract violation: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -36,8 +36,7 @@ class ConvergenceError(EigstabError, RuntimeError):
     Carries the best iterate found so far in ``best``.
     """
 
-    def __init__(self, message, best=None, residual=None, iterations=None):
+    def __init__(self, message, best=None, residual=None):
         super().__init__(message)
         self.best = best
         self.residual = residual
-        self.iterations = iterations

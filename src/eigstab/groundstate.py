@@ -234,7 +234,7 @@ def interpolation_constant_from_c_prime(c_prime: float, theta: float) -> float:
     return float(theta * ((1.0 - theta) / c_prime) ** (1.0 - theta))
 
 
-def _petviashvili(grid: Grid, q: float, maxiter: int = 500) -> np.ndarray:
+def _petviashvili(grid: Grid, q: float) -> np.ndarray:
     """Positive solution of the parameter-free equation -Lap u + u = u^(q-1).
 
     Fixed-point iteration u <- gamma^alpha (-Lap + 1)^(-1) u^(q-1) with
@@ -249,7 +249,7 @@ def _petviashvili(grid: Grid, q: float, maxiter: int = 500) -> np.ndarray:
     u = 2.0 * np.exp(-(r**2) / 2.0)
     scale = float(np.abs(lap.main).max()) + 1.0
     target = 1e-12 * scale
-    for _ in range(maxiter):
+    for _ in range(500):
         mu = lap.matvec(u)
         mu += u
         rhs = u ** (q - 1.0)
@@ -274,13 +274,7 @@ def _petviashvili(grid: Grid, q: float, maxiter: int = 500) -> np.ndarray:
     return u
 
 
-def solve_ground_state(
-    q: float,
-    d: int,
-    grid: Grid,
-    tol: float = 1e-10,
-    max_scf: int = 200,
-) -> GroundState:
+def solve_ground_state(q: float, d: int, grid: Grid, tol: float = 1e-10) -> GroundState:
     """Solve the constrained minimization on a radial grid.
 
     Two phases: a Petviashvili iteration on the parameter-free profile
@@ -316,7 +310,7 @@ def solve_ground_state(
     tol_eff = max(tol, 200.0 * np.finfo(float).eps * scale)
     energy = coupling = None
     residual = np.inf
-    for _ in range(max_scf):
+    for _ in range(200):
         nq = weighted_norm(psi, w, q)
         coupling = nq ** (2.0 - q)
         Veff = -coupling * psi ** (q - 2.0)
@@ -375,13 +369,11 @@ def profile_interpolant(gs: GroundState):
     r = gs.grid.nodes
     spline = CubicSpline(r, gs.Q.values, bc_type="natural", extrapolate=False)
     r0, rmax = r[0], r[-1]
-    q0 = gs.Q.values[0]
 
     def evaluate(x):
         x = np.abs(np.asarray(x, dtype=float))
-        out = np.where(x <= rmax, np.nan_to_num(spline(np.minimum(x, rmax))), 0.0)
-        # flat (even) continuation below the first node
-        out = np.where(x < r0, q0, out)
+        # flat (even) continuation below the first node: spline(r0) is Q(r0)
+        out = np.where(x <= rmax, spline(np.clip(x, r0, rmax)), 0.0)
         return np.clip(out, 0.0, None)
 
     return evaluate

@@ -41,6 +41,9 @@ KERNEL_TOL_FACTOR = 1e-4
 #: ground states sloppier than this poison the kernel detection
 EL_RESIDUAL_CAP = 1e-8
 
+#: lowest eigenpairs computed per channel
+CHANNEL_PAIRS = 5
+
 
 @dataclass(frozen=True)
 class HessianChannel:
@@ -69,10 +72,9 @@ class HessianChannel:
         return float(v @ _Tridiag(self.diag, self.off, rank1=self.rank1).matvec(v))
 
 
-def build_channel(
-    gs: GroundState, ell: int, k: int = 5, tol: float = 1e-10
-) -> HessianChannel:
-    """Assemble channel ell of H at gs and compute its k lowest eigenpairs."""
+def build_channel(gs: GroundState, ell: int) -> HessianChannel:
+    """Assemble channel ell of H at gs and compute its CHANNEL_PAIRS lowest
+    eigenpairs."""
     if gs.el_residual > EL_RESIDUAL_CAP:
         raise PreconditionError(
             f"profile residual {gs.el_residual:.3e} exceeds {EL_RESIDUAL_CAP:g}; "
@@ -88,7 +90,7 @@ def build_channel(
         rho = (q - 2.0) * gs.norm_q ** (2.0 - 2.0 * q)
         u = np.sqrt(grid.quad_weights) * gs.Q.values ** (q - 1.0)
         rank1 = (rho, u)
-    eigs, vecs, _, _ = smallest_eigenpairs(diag, off, k=k, rank1=rank1, tol=tol)
+    eigs, vecs, _, _ = smallest_eigenpairs(diag, off, k=CHANNEL_PAIRS, rank1=rank1)
     scale = float(np.abs(Veff).max())
     return HessianChannel(
         ell=ell,
@@ -135,7 +137,7 @@ def _channel_multiplicity(ell: int, d: int) -> int:
     return comb(ell + d - 1, ell) - comb(ell + d - 3, ell - 2)
 
 
-def kernel_report(gs: GroundState, k: int = 5) -> KernelReport:
+def kernel_report(gs: GroundState) -> KernelReport:
     """Channel-wise lowest eigenvalues with kernel identification.
 
     Expects exactly one near-zero mode in ell = 0 (overlapping Q), one in
@@ -156,7 +158,7 @@ def kernel_report(gs: GroundState, k: int = 5) -> KernelReport:
     kernel_dim = 0
     gaps = []
     for ell in ells:
-        ch = build_channel(gs, ell, k=k)
+        ch = build_channel(gs, ell)
         nz = ch.near_zero()
         overlap = None
         if ell in refs and nz.size:

@@ -32,7 +32,7 @@ from .measure import (
     require_finite,
     scalar_pow,
 )
-from .sampling import smooth_rows, unit_rows
+from .sampling import WINDOW, smooth_rows, unit_rows
 
 #: absolute tolerance on the unit-norm preconditions
 UNIT_NORM_TOL = 1e-10
@@ -285,7 +285,6 @@ FUZZ_EXPONENTS = (2.0, 2.5, 3.0, 4.0, 6.0)
 FUZZ_CHUNK = 100
 
 _FUZZ_POINTS = 64
-_WINDOW = 5
 #: smoothed draws per sample: f (2), g (2), u, v, psi (2), U
 _DRAWS = 9
 
@@ -376,7 +375,7 @@ def fuzz_inequalities(samples: int, seed: int, exponents=FUZZ_EXPONENTS) -> Fuzz
     chunk = min(max(k, FUZZ_CHUNK // k * k), max(samples, 1))
     weights = WeightedMeasure.uniform_probability(_FUZZ_POINTS).weights
     rng = np.random.default_rng(seed)
-    raw = np.empty((chunk, _DRAWS, _FUZZ_POINTS + _WINDOW - 1))
+    raw = np.empty((chunk, _DRAWS, _FUZZ_POINTS + WINDOW - 1))
     violations = 0
     first = None  # (sample index, message)
     tight = (0.0, 0.0, 0.0)
@@ -385,7 +384,7 @@ def fuzz_inequalities(samples: int, seed: int, exponents=FUZZ_EXPONENTS) -> Fuzz
         rng.standard_normal(out=raw[:n])
         for j in range(min(k, n)):
             # the samples start + j, start + j + k, ... share exponents[j]
-            rows = smooth_rows(raw[j:n:k], _WINDOW)
+            rows = smooth_rows(raw[j:n:k])
             count, found, group_tight = _fuzz_group(rows, float(exponents[j]), weights)
             violations += count
             tight = tuple(map(max, tight, group_tight))

@@ -15,21 +15,22 @@ from .measure import MeasFunction, WeightedMeasure, lp_norm_rows
 #: a draw whose norm is at or below this is degenerate
 DRAW_NORM_FLOOR = 1e-12
 
-
-def smooth_rows(raw, window: int = 5):
-    """Moving average of width ``window`` along the last axis, keeping the
-    n - window + 1 full windows (``np.convolve`` mode "valid", bit for bit)."""
-    view = np.lib.stride_tricks.sliding_window_view(raw, window, axis=-1)
-    return view @ (np.ones(window) / window)
+#: width of the moving average that smooths every draw
+WINDOW = 5
 
 
-def smoothed_noise(
-    rng: np.random.Generator, n: int, window: int = 5, complex_values: bool = False
-) -> np.ndarray:
+def smooth_rows(raw):
+    """Moving average of width WINDOW along the last axis, keeping the
+    n - WINDOW + 1 full windows (``np.convolve`` mode "valid", bit for bit)."""
+    view = np.lib.stride_tricks.sliding_window_view(raw, WINDOW, axis=-1)
+    return view @ (np.ones(WINDOW) / WINDOW)
+
+
+def smoothed_noise(rng: np.random.Generator, n: int, complex_values: bool = False) -> np.ndarray:
     """Moving-average of standard normals, length n."""
 
     def draw():
-        return smooth_rows(rng.standard_normal(n + window - 1), window)
+        return smooth_rows(rng.standard_normal(n + WINDOW - 1))
 
     if complex_values:
         return draw() + 1j * draw()

@@ -72,7 +72,6 @@ def smallest_eigenpairs(
     k: int = 1,
     rank1=None,
     tol: float = DEFAULT_TOL,
-    maxiter: int = ITERATION_CAP,
 ):
     """k smallest eigenpairs of a symmetric tridiagonal (+ rank-one) matrix.
 
@@ -112,7 +111,7 @@ def smallest_eigenpairs(
             OPinv=opinv,
             which="LM",
             v0=v0,
-            maxiter=maxiter,
+            maxiter=ITERATION_CAP,
             tol=0,
         )
         order = np.argsort(eigs)

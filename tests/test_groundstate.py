@@ -291,3 +291,41 @@ def test_resolution_convergence_of_energy():
         gs = solve_quiet(4.0, 1, 20.0, n)
         errs.append(abs(gs.E - exact))
     assert errs[1] < 0.35 * errs[0]
+
+
+def _profile_interpolant_reference(gs):
+    """profile_interpolant as it was written before its extra passes went:
+    the NaNs of extrapolate=False cleared, then Q(r0) put below r0."""
+    from scipy.interpolate import CubicSpline
+
+    r = gs.grid.nodes
+    spline = CubicSpline(r, gs.Q.values, bc_type="natural", extrapolate=False)
+    r0, rmax = r[0], r[-1]
+    q0 = gs.Q.values[0]
+
+    def evaluate(x):
+        x = np.abs(np.asarray(x, dtype=float))
+        out = np.where(x <= rmax, np.nan_to_num(spline(np.minimum(x, rmax))), 0.0)
+        out = np.where(x < r0, q0, out)
+        return np.clip(out, 0.0, None)
+
+    return evaluate
+
+
+@pytest.mark.parametrize("fixture", ["gs_q4_d1", "gs_q3_d1", "gs_q103_d3", "gs_q4_d3"])
+def test_profile_interpolant_matches_reference_bit_for_bit(request, fixture):
+    gs = request.getfixturevalue(fixture)
+    r = gs.grid.nodes
+    r0, rmax, h = r[0], r[-1], gs.grid.spacing
+    rng = np.random.default_rng(11)
+    lattice = h * np.arange(-4000, 4001)
+    inputs = [
+        r, -r, np.array([0.0, r0 / 2, -r0 / 2, r0, rmax, -rmax, 1.5 * rmax, np.nan,
+                         np.inf, -np.inf]),
+        rng.uniform(-1.2 * rmax, 1.2 * rmax, 200_000),
+        *(b * np.abs(lattice - a) for b, a in ((0.5, 0.0), (1.0, 0.37), (2.0, -3.1))),
+    ]
+    new, old = profile_interpolant(gs), _profile_interpolant_reference(gs)
+    for x in inputs:
+        assert np.array_equal(new(x), old(x), equal_nan=True)
+    assert new(0.3) == old(0.3)

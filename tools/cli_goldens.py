@@ -26,7 +26,8 @@ import numpy as np
 #: -2 sech^2 potential sampled at 4001 points on [-20, 20]; the sweep also
 #: runs once in its default JSON format, the summary path, and once at
 #: gamma = 2.5 (p = 3), the high branch, whose line scans take the blocked
-#: (non-FFT) window sums
+#: (non-FFT) window sums; the last sweep passes --p, a flag the sweep does
+#: not read, which is refused with exit 2
 COMMANDS = (
     "constants --gamma 1.5 --d 1",
     "ground-state --q 4 --d 1",
@@ -37,6 +38,7 @@ COMMANDS = (
     "stability-sweep --gamma 1.5 --d 1 --format csv",
     "stability-sweep --gamma 2.5 --d 1 --format csv",
     "stability-sweep --d 3 --grid-l 250 --grid-n 4000 --format csv",
+    "stability-sweep --gamma 1.5 --d 1 --p 3",
     "convergence",
     "convergence --format csv",
     "holder-verify --samples 300 --seed 0",
