@@ -372,6 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, settings) in _COMMANDS.items():
         # no abbreviations: eigen would take --p for --potential
         cmd = sub.add_parser(name, allow_abbrev=False)
+        cmd.set_defaults(parser=cmd)
         for attr in settings:
             cmd.add_argument(
                 "--" + attr.replace("_", "-"), type=SETTINGS[attr][0], default=None,
@@ -382,7 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:  # refused by the subcommand's own parser, so its usage line is shown
+        getattr(args, "parser", _build_parser()).error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = _load_config(args)
         _COMMANDS[cfg.command][0](cfg)

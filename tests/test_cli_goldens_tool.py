@@ -1,0 +1,46 @@
+"""The golden-output tool (tools/cli_goldens.py) summarizes a difference in
+numbers only as one line, and shows a diff for anything else."""
+
+import math
+import types
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_goldens.py"
+
+
+def _tool():
+    """The tool module, executed from its source; nothing is written beside
+    it (no bytecode cache), and its ``main`` does not run."""
+    module = types.ModuleType("cli_goldens")
+    exec(compile(TOOL.read_text(), str(TOOL), "exec"), module.__dict__)
+    return module
+
+
+OLD = '{"C": "0.32759277831410116", "d": 1, "eigs": ["-1e-12", "2.5"]}\nx,y\n0,3\n'
+
+
+def test_numbers_only_are_counted_with_the_largest_relative_change():
+    new = OLD.replace("0.32759277831410116", "0.3275927783142406").replace("2.5", "2.6")
+    count, total, rel, old, changed = _tool().number_changes(OLD, new)
+    assert (count, total, old, changed) == (2, 6, "2.5", "2.6")
+    assert rel == pytest.approx(0.04)
+
+
+def test_change_from_zero_is_infinite():
+    changes = _tool().number_changes(OLD, OLD.replace("0,3", "1e-300,3"))
+    assert changes[:2] == (1, 6)
+    assert math.isinf(changes[2])
+    assert changes[3:] == ("0", "1e-300")
+
+
+def test_equal_texts_have_no_changed_number():
+    assert _tool().number_changes(OLD, OLD) == (0, 6, 0.0, "", "")
+
+
+def test_other_changes_are_not_numbers_only():
+    tool = _tool()
+    assert tool.number_changes(OLD, OLD.replace('"d"', '"dim"')) is None
+    assert tool.number_changes(OLD, OLD + "4,5\n") is None
+    assert tool.number_changes(OLD, OLD.replace('"2.5"', '"nan"')) is None

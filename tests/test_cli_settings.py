@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from eigstab.cli import main
+from eigstab.cli import _build_parser, main
 
 #: every setting with a value its flag accepts
 VALUES = {
@@ -70,3 +70,31 @@ def test_holder_verify_takes_from_a_file_what_it_refuses_as_a_flag(capsys, tmp_p
     assert main(args) == 0
     assert with_file == capsys.readouterr().out
     assert json.loads(with_file)["violations"] == 0
+
+
+@pytest.mark.parametrize("command, setting", UNREAD, ids=[f"{c}-{s}" for c, s in UNREAD])
+def test_unread_flag_is_refused_with_the_subcommand_usage(capsys, command, setting):
+    flag, value = _flag(setting), VALUES[setting]
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: eigstab {command} [-h]")
+    assert captured.err.endswith(
+        f"eigstab {command}: error: unrecognized arguments: {flag} {value}\n"
+    )
+
+
+def test_stray_argument_before_any_subcommand_gets_the_top_level_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--p"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: eigstab [-h]")
+    assert captured.err.endswith("eigstab: error: unrecognized arguments: --p\n")
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()

@@ -6,15 +6,21 @@ Usage::
 
 Each argument is a ``src/`` directory (the one holding ``eigstab/``).  Every
 command below runs once against each tree, as ``python3 -m eigstab.cli`` with
-that tree first on ``PYTHONPATH``; a difference in stdout or exit code is
-printed as a unified diff.  Exits 0 when every command matches, 1 otherwise.
-Output files are not compared: each command writes to stdout.
+that tree first on ``PYTHONPATH``.  A command whose stdout differs in
+numbers only gets one line: how many numbers differ, out of how many, and
+the largest relative change with its old and new value (a number is a
+decimal or exponent literal, also one inside a JSON string).  Any other
+difference in stdout is printed as a unified diff; an exit code that
+differs shows in the command's header line.
+Exits 0 when every command matches, 1 otherwise.  Output files are not
+compared: each command writes to stdout.
 """
 
 from __future__ import annotations
 
 import difflib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -43,6 +49,26 @@ COMMANDS = (
     "convergence --format csv",
     "holder-verify --samples 300 --seed 0",
 )
+
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _relative(old: str, new: str) -> float:
+    x, y = float(old), float(new)
+    return abs(y - x) / abs(x) if x != 0.0 else (0.0 if y == 0.0 else float("inf"))
+
+
+def number_changes(old: str, new: str):
+    """(numbers that differ, numbers, largest relative change, its old value,
+    its new value) when ``old`` and ``new`` differ in numbers only, else
+    None.  A change from 0 counts as infinite; with nothing changed the
+    last three are 0 and empty strings."""
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return None
+    numbers = list(zip(NUMBER.findall(old), NUMBER.findall(new)))
+    changed = [(_relative(a, b), a, b) for a, b in numbers if a != b]
+    return (len(changed), len(numbers), *max(changed, default=(0.0, "", "")))
 
 
 def _write_well(path: Path) -> None:
@@ -83,12 +109,17 @@ def main(argv: list[str]) -> int:
                 continue
             differing += 1
             print(f"DIFF  (exit {code_a} vs {code_b})  {command}")
-            sys.stdout.writelines(
-                difflib.unified_diff(
-                    out_a.splitlines(keepends=True), out_b.splitlines(keepends=True),
-                    fromfile=str(src_a), tofile=str(src_b),
+            changes = number_changes(out_a, out_b)
+            if changes is None:
+                sys.stdout.writelines(
+                    difflib.unified_diff(
+                        out_a.splitlines(keepends=True), out_b.splitlines(keepends=True),
+                        fromfile=str(src_a), tofile=str(src_b),
+                    )
                 )
-            )
+            elif changes[0]:  # with equal stdout only the exit code differs
+                print("      {} of {} numbers differ; largest relative change {:.2g}"
+                      " ({} -> {})".format(*changes))
     print(f"{differing} of {len(COMMANDS)} commands differ")
     return 1 if differing else 0
 
