@@ -21,8 +21,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.special import gamma as gamma_fn
 
 from .exceptions import UnsupportedChannelError
 from .measure import MeasFunction, WeightedMeasure, _check_same_measure, lp_norm
@@ -56,6 +54,7 @@ def csv_text(header, rows) -> str:
 
 def surface_area(d: int) -> float:
     """Area of the unit sphere S^(d-1): 2 pi^(d/2) / Gamma(d/2)."""
+    from scipy.special import gamma as gamma_fn
     return float(2.0 * np.pi ** (d / 2.0) / gamma_fn(d / 2.0))
 
 
@@ -297,6 +296,7 @@ class _Tridiag:
         z = (T - sigma I)^(-1) u and 1 + rho u.z are kept: a later solve is
         one back substitution, bit for bit a fresh factorization's result.
         Non-finite input raises ValueError, a singular pivot LinAlgError."""
+        from scipy.linalg.lapack import dgttrf, dgttrs
         rhs = np.asarray(rhs, dtype=float)
         if not np.isfinite(rhs).all():
             raise ValueError("right-hand side must not contain infs or NaNs")

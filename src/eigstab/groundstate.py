@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .exceptions import (
     ConvergenceError,
@@ -129,6 +128,7 @@ def gns_energy(psi: GridFunction, q: float) -> float:
 
 def _sech_integral(m: float) -> float:
     """int_R sech^m(u) du = sqrt(pi) Gamma(m/2) / Gamma((m+1)/2)."""
+    from scipy.special import gamma as gamma_fn
     return float(math.sqrt(math.pi) * gamma_fn(m / 2.0) / gamma_fn((m + 1.0) / 2.0))
 
 
@@ -234,13 +234,35 @@ def interpolation_constant_from_c_prime(c_prime: float, theta: float) -> float:
     return float(theta * ((1.0 - theta) / c_prime) ** (1.0 - theta))
 
 
+#: the unit-scale seed grid: u decays like e^(-r), and its d = 1 core is ~2/(q - 2) wide
+SEED_EXTENT, SEED_N = 40.0, 2000
+#: Newton stops on a step norm this small (its square is the error left), or fails at the cap
+NEWTON_STEP_TOL, NEWTON_CAP = 1e-8, 12
+#: the largest relative distance of E from the unit-scale -s^2 that is not refused
+SEED_AGREEMENT = 0.05
+
+
+def _second_variation(grid: Grid, q: float, psi, norm_q: float, energy: float, ell: int = 0):
+    """Channel ell of the second variation at (psi, E) in sqrt(w) coordinates
+    (see :mod:`eigstab.hessian`): (diag, off) of -Lap_ell + Veff with Veff =
+    -(q-1) ||psi||_q^(2-q) |psi|^(q-2) - E, the rank-one term (rho, u) =
+    ((q-2) ||psi||_q^(2-2q), sqrt(w) |psi|^(q-2) psi) for ell = 0 (else
+    None), and Veff."""
+    pq2 = np.abs(psi) ** (q - 2.0)
+    veff = -(q - 1.0) * norm_q ** (2.0 - q) * pq2 - energy
+    rank1 = None
+    if ell == 0:
+        rank1 = ((q - 2.0) * norm_q ** (2.0 - 2.0 * q), np.sqrt(grid.quad_weights) * pq2 * psi)
+    return (*symmetric_tridiagonal(grid, ell, veff), rank1, veff)
+
+
 def _petviashvili(grid: Grid, q: float) -> np.ndarray:
     """Positive solution of the parameter-free equation -Lap u + u = u^(q-1).
 
     Fixed-point iteration u <- gamma^alpha (-Lap + 1)^(-1) u^(q-1), alpha =
     (q-1)/(q-2), gamma = <(-Lap+1)u, u> / <u^(q-1), u>, which is 1 at the fixed
-    point; it stops on |gamma - 1| < 1e-12 alone, since u only seeds the SCF
-    polish through an O(h^2) interpolation and that polish gates the residual.
+    point; it stops on |gamma - 1| < 1e-12 alone, since u only seeds Newton
+    through an O(h^2) interpolation, and Newton's closing step gates the residual.
     """
     w = grid.quad_weights
     r = grid.nodes
@@ -274,85 +296,82 @@ def _petviashvili(grid: Grid, q: float) -> np.ndarray:
 def solve_ground_state(q: float, d: int, grid: Grid, tol: float = 1e-10) -> GroundState:
     """Solve the constrained minimization on a radial grid.
 
-    Two phases: a Petviashvili iteration on the parameter-free profile
-    equation fixes the shape and width of the minimizer (a normalized
-    gradient flow is not reliable here: above the mass-critical exponent
-    q = 2 + 4/d it can spread out instead of localizing), then a
-    self-consistent polish repeatedly takes the ground state of the
-    linearized operator -Lap - ||psi||_q^(2-q) psi^(q-2) until the
-    profile-equation residual drops below tol (floored at the rounding
-    level of the grid).
+    The parameter-free equation is solved once on the unit-scale grid
+    (Petviashvili) and rescaled onto ``grid``; Newton on (Q, E) solves the
+    profile equation with unit mass there, and a certified ground pair of
+    -Lap - ||Q||_q^(2-q) Q^(q-2) closes the solve, whose residual must be
+    below tol (floored at the grid's rounding level).  docs/derivations.md §3.
     """
     exps = Exponents.from_q(q, d)
     if grid.kind != "radial" or grid.dim != d:
         raise PreconditionError("solve_ground_state needs a radial grid of dimension d")
     w = grid.quad_weights
-    r = grid.nodes
-    h = grid.spacing
+    sw = np.sqrt(w)
 
     # rescale the parameter-free solution u to unit L2 mass: with
     # mq = int u^q, the constrained minimizer is s^(d/2) u(s r) / sqrt(m2)
     # up to normalization, where s^2 = |E| = mq^(-2(q-2)/(2q - d(q-2)))
-    u = _petviashvili(grid, q)
-    mq = float(w @ u**q)
+    unit = Grid.radial(d, SEED_EXTENT, SEED_N)
+    u = _petviashvili(unit, q)
+    mq = float(unit.quad_weights @ u**q)
     s = mq ** (-(q - 2.0) / (2.0 * q - d * (q - 2.0)))
-    psi = np.interp(s * r, r, u, right=0.0)
+    psi = np.interp(s * grid.nodes, unit.nodes, u, right=0.0)
     nrm = math.sqrt(w @ psi**2)
     if nrm == 0.0 or not np.isfinite(nrm):
         raise ConvergenceError("profile initialization collapsed")
-    psi /= nrm
+    v = sw * psi / nrm
 
-    # -- self-consistent polish ---------------------------------------
-    scale = 2.0 / h**2
-    tol_eff = max(tol, 200.0 * np.finfo(float).eps * scale)
-    energy = coupling = None
-    residual = np.inf
-    for _ in range(200):
-        nq = weighted_norm(psi, w, q)
-        coupling = nq ** (2.0 - q)
-        Veff = -coupling * psi ** (q - 2.0)
-        diag, off = symmetric_tridiagonal(grid, 0, Veff)
-        # the previous iterate is a near-exact eigenvector of this operator
-        pair = _warm_ground_pair(diag, off, np.sqrt(w) * psi, tol)
-        if pair is None:
-            eigs, vecs, _, _ = smallest_eigenpairs(diag, off, k=1, tol=tol)
-            pair = eigs[0], vecs[:, 0]
-        new = pair[1] / np.sqrt(w)
-        new = np.abs(new)
-        new /= math.sqrt(w @ new**2)
-        psi = new
-        energy = float(pair[0])
-        residual = _el_residual(grid, psi, energy, coupling, q)
-        if residual <= tol_eff:
+    # Newton on F(v) = (A - ||psi||_q^(2-q) |psi|^(q-2) - E) v = 0, v.v = 1 in
+    # sqrt(w) coordinates: its Jacobian, the ell = 0 Hessian channel
+    # H = T + rho u u^T bordered by v, is eliminated through T (three solves
+    # and a 2x2 system); F is homogeneous of degree 1 in v, so F(v) = H v
+    energy, step = -s * s, np.inf
+    for k in range(NEWTON_CAP + 1):
+        psi = v / sw
+        norm_q = weighted_norm(np.abs(psi), w, q)
+        if step <= NEWTON_STEP_TOL:
             break
+        if k == NEWTON_CAP:
+            raise ConvergenceError(f"profile Newton did not converge in {k} steps")
+        try:  # a step may overflow, be non-finite or meet a singular T
+            diag, off, (rho, u), _ = _second_variation(grid, q, psi, norm_q, energy)
+            T, res = _Tridiag(diag, off), _Tridiag(diag, off, rank1=(rho, u)).matvec(v)
+            a, b, z = (T.solve_shifted(0.0, x) for x in (-res, u, v))
+            border = [[1.0 + rho * (u @ b), -(u @ z)], [-rho * (v @ b), v @ z]]
+            alpha, d_energy = np.linalg.solve(border, [u @ a, (1.0 - v @ v) / 2.0 - v @ a])
+        except (ValueError, OverflowError, np.linalg.LinAlgError) as exc:
+            raise ConvergenceError(f"profile Newton step failed: {exc}") from exc
+        dv = a - rho * alpha * b + d_energy * z
+        step = np.linalg.norm(dv)
+        v = v + dv
+        energy += d_energy
+
+    # -- closing step: the certified ground pair at the Newton iterate --
+    coupling = norm_q ** (2.0 - q)
+    diag, off = symmetric_tridiagonal(grid, 0, -coupling * np.abs(psi) ** (q - 2.0))
+    pair = _warm_ground_pair(diag, off, v, tol)
+    if pair is None:
+        eigs, vecs, _, _ = smallest_eigenpairs(diag, off, k=1, tol=tol)
+        pair = eigs[0], vecs[:, 0]
+    psi = np.abs(pair[1]) / sw
+    psi /= math.sqrt(w @ psi**2)
+    energy = float(pair[0])
+    residual = _el_residual(grid, psi, energy, coupling, q)
+    tol_eff = max(tol, 200.0 * np.finfo(float).eps * 2.0 / grid.spacing**2)
     if not residual <= tol_eff:
-        raise ConvergenceError(
-            f"profile solve stalled at residual {residual:.3e}",
-            best=GridFunction(grid, psi),
-            residual=residual,
-        )
+        raise ConvergenceError(f"profile solve stalled at residual {residual:.3e}",
+                               best=GridFunction(grid, psi), residual=residual)
     if energy >= 0.0:
         raise ConvergenceError("profile solve converged to E >= 0", residual=residual)
+    if abs(energy + s * s) > SEED_AGREEMENT * s * s:
+        raise ConvergenceError(f"profile solve gave E = {energy:.6g}, not the unit-scale "
+                               f"{-s * s:.6g}: the grid truncates or under-resolves the profile")
 
     if psi[-1] > 1e-8 * psi[0]:
-        warnings.warn(
-            "profile has not decayed at r = L; enlarge the domain",
-            stacklevel=2,
-        )
-
-    norm_q = weighted_norm(psi, w, q)
-    c_prime = -energy
-    s_const = interpolation_constant_from_c_prime(c_prime, exps.theta)
-    return GroundState(
-        Q=GridFunction(grid, psi),
-        E=energy,
-        q=q,
-        d=d,
-        norm_q=norm_q,
-        C_prime=c_prime,
-        S=s_const,
-        el_residual=residual,
-    )
+        warnings.warn("profile has not decayed at r = L; enlarge the domain", stacklevel=2)
+    return GroundState(Q=GridFunction(grid, psi), E=energy, q=q, d=d, norm_q=weighted_norm(psi, w, q),
+                       C_prime=-energy, S=interpolation_constant_from_c_prime(-energy, exps.theta),
+                       el_residual=residual)
 
 
 # ---------------------------------------------------------------------------

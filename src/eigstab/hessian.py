@@ -28,9 +28,8 @@ from .grid import (
     h1_distance,
     norm_l2,
     radial_derivative,
-    symmetric_tridiagonal,
 )
-from .groundstate import GroundState, gns_energy
+from .groundstate import GroundState, gns_energy, _second_variation
 from .spectral import smallest_eigenpairs
 
 #: near-zero eigenvalue classification, relative to the physical scale
@@ -80,16 +79,7 @@ def build_channel(gs: GroundState, ell: int) -> HessianChannel:
             f"profile residual {gs.el_residual:.3e} exceeds {EL_RESIDUAL_CAP:g}; "
             "re-solve on a coarser or cleaner grid"
         )
-    grid = gs.grid
-    q = gs.q
-    coupling = gs.norm_q ** (2.0 - q)
-    Veff = -(q - 1.0) * coupling * gs.Q.values ** (q - 2.0) - gs.E
-    diag, off = symmetric_tridiagonal(grid, ell, Veff)
-    rank1 = None
-    if ell == 0:
-        rho = (q - 2.0) * gs.norm_q ** (2.0 - 2.0 * q)
-        u = np.sqrt(grid.quad_weights) * gs.Q.values ** (q - 1.0)
-        rank1 = (rho, u)
+    diag, off, rank1, Veff = _second_variation(gs.grid, gs.q, gs.Q.values, gs.norm_q, gs.E, ell)
     eigs, vecs, _, _ = smallest_eigenpairs(diag, off, k=CHANNEL_PAIRS, rank1=rank1)
     scale = float(np.abs(Veff).max())
     return HessianChannel(

@@ -16,9 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .exceptions import ConvergenceError, DegenerateInputError
 from .grid import (
@@ -84,13 +81,15 @@ def smallest_eigenpairs(
     floored at the rounding level 50 * eps * ||A||, which is unreachable
     below for large grids.
     """
-    A = _Tridiag(diag, off, rank1=rank1)
+    import scipy.linalg as sla
 
+    A = _Tridiag(diag, off, rank1=rank1)
     if A.rank1 is None:
         eigs, vecs = sla.eigh_tridiagonal(
             A.main, A.upper, select="i", select_range=(0, k - 1)
         )
     else:
+        import scipy.sparse.linalg as spla
         # the rank-one term is PSD (rho > 0) in every use here, so the
         # tridiagonal part bounds the modified spectrum from below
         lam_t = sla.eigh_tridiagonal(
@@ -145,6 +144,7 @@ def _warm_ground_pair(diag, off, guess, tol: float = DEFAULT_TOL):
     A - (lam - tol_eff) I must factor, so lam is lambda_0 to within
     tol_eff (docs/derivations.md §10).
     """
+    from scipy.linalg.lapack import dpttrf, dpttrs
     A = _Tridiag(diag, off)
     nv = np.linalg.norm(guess)
     if not 0.0 < nv < np.inf:

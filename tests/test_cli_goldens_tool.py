@@ -44,3 +44,32 @@ def test_other_changes_are_not_numbers_only():
     assert tool.number_changes(OLD, OLD.replace('"d"', '"dim"')) is None
     assert tool.number_changes(OLD, OLD + "4,5\n") is None
     assert tool.number_changes(OLD, OLD.replace('"2.5"', '"nan"')) is None
+
+
+USAGE = "usage: eigstab [-h] {constants,ground-state} ...\neigstab: error: unrecognized arguments: --p 3\n"
+
+
+def test_a_changed_refusal_message_is_a_difference():
+    sub = USAGE.replace("usage: eigstab [-h] {constants,ground-state} ...",
+                        "usage: eigstab stability-sweep [-h] [--gamma GAMMA]")
+    lines = _tool().report("stability-sweep --p 3", (2, "", USAGE), (2, "", sub))
+    assert lines[0].startswith("DIFF  (exit 2 vs 2)")
+    assert "      stderr:\n" in lines
+    assert "-usage: eigstab [-h] {constants,ground-state} ...\n" in lines
+    assert "+usage: eigstab stability-sweep [-h] [--gamma GAMMA]\n" in lines
+
+
+def test_equal_runs_are_one_same_line():
+    run = (0, OLD, "")
+    assert _tool().report("constants", run, run) == ["same  (exit 0)  constants\n"]
+
+
+def test_numbers_and_stderr_are_both_reported():
+    new = OLD.replace("2.5", "2.6")
+    lines = _tool().report("hessian", (0, OLD, ""), (0, new, "warning\n"))
+    assert "1 of 6 numbers differ" in lines[1]
+    assert lines[2:] == ["      stderr:\n", "--- a\n", "+++ b\n", "@@ -0,0 +1 @@\n", "+warning\n"]
+
+
+def test_the_truncating_constants_run_is_a_golden():
+    assert "constants --gamma 1 --d 3" in _tool().COMMANDS

@@ -10,8 +10,10 @@ that tree first on ``PYTHONPATH``.  A command whose stdout differs in
 numbers only gets one line: how many numbers differ, out of how many, and
 the largest relative change with its old and new value (a number is a
 decimal or exponent literal, also one inside a JSON string).  Any other
-difference in stdout is printed as a unified diff; an exit code that
-differs shows in the command's header line.
+difference in stdout is printed as a unified diff, and so is any
+difference in stderr (a refusal message, say), with each tree's path
+written as ``<src>``; an exit code that differs shows in the command's
+header line.
 Exits 0 when every command matches, 1 otherwise.  Output files are not
 compared: each command writes to stdout.
 """
@@ -33,7 +35,8 @@ import numpy as np
 #: runs once in its default JSON format, the summary path, and once at
 #: gamma = 2.5 (p = 3), the high branch, whose line scans take the blocked
 #: (non-FFT) window sums; the last sweep passes --p, a flag the sweep does
-#: not read, which is refused with exit 2
+#: not read, which is refused with exit 2; the last constants run is on a
+#: default grid that truncates the profile, which is refused with exit 1
 COMMANDS = (
     "constants --gamma 1.5 --d 1",
     "ground-state --q 4 --d 1",
@@ -48,6 +51,7 @@ COMMANDS = (
     "convergence",
     "convergence --format csv",
     "holder-verify --samples 300 --seed 0",
+    "constants --gamma 1 --d 3",
 )
 
 
@@ -77,13 +81,37 @@ def _write_well(path: Path) -> None:
     path.write_text("x,V\n" + "\n".join(rows) + "\n")
 
 
-def _run(src: Path, args: list[str], cwd: Path) -> tuple[int, str]:
+def _run(src: Path, args: list[str], cwd: Path) -> tuple[int, str, str]:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     proc = subprocess.run(
         [sys.executable, "-m", "eigstab.cli", *args],
         capture_output=True, text=True, env=env, cwd=cwd,
     )
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr.replace(str(src.resolve()), "<src>")
+
+
+def _diff(old: str, new: str, names) -> list[str]:
+    return list(difflib.unified_diff(
+        old.splitlines(keepends=True), new.splitlines(keepends=True), *names,
+    ))
+
+
+def report(command: str, a, b, names=("a", "b")) -> list[str]:
+    """The lines describing one command's two runs, each (exit code, stdout,
+    stderr): a ``same`` line, or a ``DIFF`` line followed by the summary or
+    diff of stdout and the diff of stderr."""
+    if a == b:
+        return [f"same  (exit {a[0]})  {command}\n"]
+    lines = [f"DIFF  (exit {a[0]} vs {b[0]})  {command}\n"]
+    changes = number_changes(a[1], b[1])
+    if changes is None:
+        lines += _diff(a[1], b[1], names)
+    elif changes[0]:  # with equal stdout only the exit code or stderr differs
+        lines.append("      {} of {} numbers differ; largest relative change {:.2g}"
+                     " ({} -> {})\n".format(*changes))
+    if a[2] != b[2]:
+        lines += ["      stderr:\n", *_diff(a[2], b[2], names)]
+    return lines
 
 
 def main(argv: list[str]) -> int:
@@ -102,24 +130,10 @@ def main(argv: list[str]) -> int:
         _write_well(well)
         for command in COMMANDS:
             args = command.format(well=well).split()
-            code_a, out_a = _run(src_a, args, cwd)
-            code_b, out_b = _run(src_b, args, cwd)
-            if (code_a, out_a) == (code_b, out_b):
-                print(f"same  (exit {code_a})  {command}")
-                continue
-            differing += 1
-            print(f"DIFF  (exit {code_a} vs {code_b})  {command}")
-            changes = number_changes(out_a, out_b)
-            if changes is None:
-                sys.stdout.writelines(
-                    difflib.unified_diff(
-                        out_a.splitlines(keepends=True), out_b.splitlines(keepends=True),
-                        fromfile=str(src_a), tofile=str(src_b),
-                    )
-                )
-            elif changes[0]:  # with equal stdout only the exit code differs
-                print("      {} of {} numbers differ; largest relative change {:.2g}"
-                      " ({} -> {})".format(*changes))
+            lines = report(command, _run(src_a, args, cwd), _run(src_b, args, cwd),
+                           (str(src_a), str(src_b)))
+            differing += lines[0].startswith("DIFF")
+            sys.stdout.writelines(lines)
     print(f"{differing} of {len(COMMANDS)} commands differ")
     return 1 if differing else 0
 
