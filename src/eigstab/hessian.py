@@ -29,7 +29,7 @@ from .grid import (
     norm_l2,
     radial_derivative,
 )
-from .groundstate import GroundState, gns_energy, _second_variation
+from .groundstate import GroundState, _second_variation, gns_energy
 from .spectral import smallest_eigenpairs
 
 #: near-zero eigenvalue classification, relative to the physical scale
