@@ -234,11 +234,13 @@ def interpolation_constant_from_c_prime(c_prime: float, theta: float) -> float:
     return float(theta * ((1.0 - theta) / c_prime) ** (1.0 - theta))
 
 
-#: the unit-scale seed grid: u decays like e^(-r), and its d = 1 core is ~2/(q - 2) wide
-SEED_EXTENT, SEED_N = 40.0, 2000
+#: the unit-scale seed grid: u decays like e^(-r), and in d = 1 like 2^b e^(-r) u(0), b = 2/(q-2);
+#: n doubles from SEED_N until s^2 moves by at most SEED_SETTLE, up to SEED_N_CAP (derivations §3)
+SEED_EXTENT, SEED_N, SEED_SETTLE, SEED_N_CAP = 40.0, 1000, 1e-3, 2**17
 #: Newton stops on a step norm this small (its square is the error left), or fails at the cap
 NEWTON_STEP_TOL, NEWTON_CAP = 1e-8, 12
-#: the largest relative distance of E from the unit-scale -s^2 that is not refused
+#: the largest relative distance of E from the unit-scale -s^2 that is not refused, unless
+#: the seed's own last change is larger
 SEED_AGREEMENT = 0.05
 
 
@@ -293,11 +295,27 @@ def _petviashvili(grid: Grid, q: float) -> np.ndarray:
     return u
 
 
+def _unit_seed(q: float, d: int):
+    """(unit grid, u, s, change): _petviashvili's u on the unit-scale grid, the
+    scale s of the unit-mass minimizer (see solve_ground_state), and the
+    relative change of s^2 at the last doubling of n (inf if none)."""
+    extent = min(max(SEED_EXTENT, 30.0 + 2.0 / (q - 2.0)), 1000.0)
+    n, prev = SEED_N, None
+    while True:
+        unit = Grid.radial(d, extent, n)
+        u = _petviashvili(unit, q)
+        s = float(unit.quad_weights @ u**q) ** (-(q - 2.0) / (2.0 * q - d * (q - 2.0)))
+        change = math.inf if prev is None else abs(1.0 - (prev / s) ** 2)
+        if change <= SEED_SETTLE or 2 * n > SEED_N_CAP:
+            return unit, u, s, change
+        n, prev = 2 * n, s
+
+
 def solve_ground_state(q: float, d: int, grid: Grid, tol: float = 1e-10) -> GroundState:
     """Solve the constrained minimization on a radial grid.
 
-    The parameter-free equation is solved once on the unit-scale grid
-    (Petviashvili) and rescaled onto ``grid``; Newton on (Q, E) solves the
+    The parameter-free equation is solved on a unit-scale grid refined until
+    its scale settles (Petviashvili) and rescaled onto ``grid``; Newton on (Q, E) solves the
     profile equation with unit mass there, and a certified ground pair of
     -Lap - ||Q||_q^(2-q) Q^(q-2) closes the solve, whose residual must be
     below tol (floored at the grid's rounding level).  docs/derivations.md §3.
@@ -311,10 +329,7 @@ def solve_ground_state(q: float, d: int, grid: Grid, tol: float = 1e-10) -> Grou
     # rescale the parameter-free solution u to unit L2 mass: with
     # mq = int u^q, the constrained minimizer is s^(d/2) u(s r) / sqrt(m2)
     # up to normalization, where s^2 = |E| = mq^(-2(q-2)/(2q - d(q-2)))
-    unit = Grid.radial(d, SEED_EXTENT, SEED_N)
-    u = _petviashvili(unit, q)
-    mq = float(unit.quad_weights @ u**q)
-    s = mq ** (-(q - 2.0) / (2.0 * q - d * (q - 2.0)))
+    unit, u, s, change = _unit_seed(q, d)
     psi = np.interp(s * grid.nodes, unit.nodes, u, right=0.0)
     nrm = math.sqrt(w @ psi**2)
     if nrm == 0.0 or not np.isfinite(nrm):
@@ -335,7 +350,8 @@ def solve_ground_state(q: float, d: int, grid: Grid, tol: float = 1e-10) -> Grou
             raise ConvergenceError(f"profile Newton did not converge in {k} steps")
         try:  # a step may overflow, be non-finite or meet a singular T
             diag, off, (rho, u), _ = _second_variation(grid, q, psi, norm_q, energy)
-            T, res = _Tridiag(diag, off), _Tridiag(diag, off, rank1=(rho, u)).matvec(v)
+            T = _Tridiag(diag, off)
+            res = T.matvec(v) + rho * (u @ v) * u
             a, b, z = (T.solve_shifted(0.0, x) for x in (-res, u, v))
             border = [[1.0 + rho * (u @ b), -(u @ z)], [-rho * (v @ b), v @ z]]
             alpha, d_energy = np.linalg.solve(border, [u @ a, (1.0 - v @ v) / 2.0 - v @ a])
@@ -359,19 +375,38 @@ def solve_ground_state(q: float, d: int, grid: Grid, tol: float = 1e-10) -> Grou
     residual = _el_residual(grid, psi, energy, coupling, q)
     tol_eff = max(tol, 200.0 * np.finfo(float).eps * 2.0 / grid.spacing**2)
     if not residual <= tol_eff:
-        raise ConvergenceError(f"profile solve stalled at residual {residual:.3e}",
-                               best=GridFunction(grid, psi), residual=residual)
+        raise ConvergenceError(
+            f"profile solve stalled at residual {residual:.3e}",
+            best=GridFunction(grid, psi),
+            residual=residual,
+        )
     if energy >= 0.0:
         raise ConvergenceError("profile solve converged to E >= 0", residual=residual)
-    if abs(energy + s * s) > SEED_AGREEMENT * s * s:
-        raise ConvergenceError(f"profile solve gave E = {energy:.6g}, not the unit-scale "
-                               f"{-s * s:.6g}: the grid truncates or under-resolves the profile")
+    if abs(energy + s * s) > max(SEED_AGREEMENT, change) * s * s:
+        raise ConvergenceError(
+            f"profile solve gave E = {energy:.6g}, not the unit-scale {-s * s:.6g}: "
+            "the grid truncates or under-resolves the profile"
+        )
 
     if psi[-1] > 1e-8 * psi[0]:
-        warnings.warn("profile has not decayed at r = L; enlarge the domain", stacklevel=2)
-    return GroundState(Q=GridFunction(grid, psi), E=energy, q=q, d=d, norm_q=weighted_norm(psi, w, q),
-                       C_prime=-energy, S=interpolation_constant_from_c_prime(-energy, exps.theta),
-                       el_residual=residual)
+        warnings.warn(
+            "profile has not decayed at r = L; enlarge the domain",
+            stacklevel=2,
+        )
+
+    norm_q = weighted_norm(psi, w, q)
+    c_prime = -energy
+    s_const = interpolation_constant_from_c_prime(c_prime, exps.theta)
+    return GroundState(
+        Q=GridFunction(grid, psi),
+        E=energy,
+        q=q,
+        d=d,
+        norm_q=norm_q,
+        C_prime=c_prime,
+        S=s_const,
+        el_residual=residual,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 rescaled, then Newton on (Q, E) with the bordered l = 0 Hessian channel,
 closed by one certified ground pair (docs/derivations.md §3)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -64,10 +65,58 @@ def test_newton_converges_quadratically_in_few_steps(monkeypatch, case):
 
 @pytest.mark.parametrize("case", FIXTURES[::3], ids=[str(c) for c in FIXTURES[::3]])
 def test_the_seed_runs_on_the_unit_grid(monkeypatch, case):
+    # one doubling of the unit grid settles the scale on the fixtures
     solves = _recorded_solves(monkeypatch)
     _solve(*case)
     sizes = {rhs.size for sigma, rhs in solves if sigma == -1.0}
-    assert sizes == {groundstate.SEED_N}
+    assert sizes == {groundstate.SEED_N, 2 * groundstate.SEED_N}
+
+
+@pytest.mark.parametrize(
+    "q, d, settled_n",
+    [(4.0, 1, 2 * groundstate.SEED_N), (22.0, 2, 128 * groundstate.SEED_N)],
+    ids=["q4-d1", "q22-d2"],
+)
+def test_the_seed_grid_refines_until_the_scale_settles(q, d, settled_n):
+    # the d = 2 core at q = 22 is about 0.06 wide: s^2 moves by up to 34 %
+    # per doubling before the spacing resolves it, and by 0.4 % at the cap
+    unit, u, s, change = groundstate._unit_seed(q, d)
+    assert unit.n == settled_n
+    assert change <= 0.01
+
+
+@pytest.mark.parametrize("gamma", [50.0, 1000.0])
+def test_the_seed_grid_holds_the_d1_profile(gamma):
+    # the d = 1 profile sech^b(r/b) is 2/(q-2) = gamma - 1/2 wide in its core
+    q = groundstate.Exponents.from_gamma(gamma, 1).q
+    unit, u, s, change = groundstate._unit_seed(q, 1)
+    assert unit.extent > 40.0
+    assert u[-1] <= np.exp(-30.0) * u[0]
+    assert change <= groundstate.SEED_SETTLE
+
+
+def _constants(capsys, *argv):
+    from eigstab.cli import main
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["constants", *argv])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return float(json.loads(captured.out)["C_prime"])
+
+
+def test_a_resolving_grid_at_q22_in_d2_is_not_refused(capsys):
+    # C' the SCF solve gave on this grid; a fixed seed grid with h = 0.02
+    # puts s^2 8 % too high, which refused it
+    c_prime = _constants(capsys, "--q", "22", "--d", "2", "--grid-l", "5000", "--grid-n", "40000")
+    assert abs(c_prime - 3.8931175487883025e-05) <= 1e-10 * c_prime
+
+
+def test_gamma_50_in_d1_on_a_large_box_matches(capsys):
+    # C' the SCF solve gave on this grid
+    c_prime = _constants(capsys, "--gamma", "50", "--d", "1", "--grid-l", "150", "--grid-n", "8000")
+    assert abs(c_prime - 0.93191172154373958) <= 1e-10 * c_prime
 
 
 @pytest.mark.parametrize(
