@@ -1,13 +1,12 @@
 """Lowest eigenpairs of -Lap + V on a grid.
 
 The discretized operator is tridiagonal (plus an optional rank-one term,
-used by the linearization module).  Pure tridiagonal problems go through
-LAPACK bisection + inverse iteration, which cannot be fooled by clusters
-of nearly degenerate low eigenvalues.  With a rank-one term the pairs
-come from shift-invert Lanczos, with the shift placed strictly below the
-spectrum so the magnitude ordering matches the eigenvalue ordering;
-shifted solves use tridiagonal LU, factored once per shift, plus the
-Sherman-Morrison formula.
+used by the linearization module).  Its ground pair comes from inverse
+iteration at shifts an LDL^T factorization certifies below the spectrum,
+which clusters of nearly degenerate low eigenvalues cannot fool; more
+pairs from LAPACK bisection + inverse iteration.  With a rank-one term,
+shift-invert Lanczos at a certified shift below the spectrum, with
+tridiagonal LU factored once per shift and Sherman-Morrison solves.
 Everything is deterministic for fixed inputs.
 """
 
@@ -27,6 +26,7 @@ from .grid import (
 
 ITERATION_CAP = 10_000
 DEFAULT_TOL = 1e-10
+INVERSE_CAP = 200  # safeguarded inverse-iteration steps per cold ground pair
 
 
 @dataclass(frozen=True)
@@ -40,27 +40,66 @@ class EigenPair:
 def _inverse_step(A: _Tridiag, solve, v):
     """One inverse-iteration step, solve(v) = (A - sigma I)^(-1) v made a
     unit vector: (its Rayleigh quotient, it), or None when the solve is
-    singular or its result zero or not finite."""
+    singular or its result zero or not finite.  Sums are numpy's: BLAS
+    ddot threads past n = 10000, and took ~8 ms a call on 2 cores."""
     try:
         y = solve(v)
     except np.linalg.LinAlgError:
         return None
-    ny = np.linalg.norm(y)
+    ny = np.sqrt(np.sum(y * y))
     if not 0.0 < ny < np.inf:
         return None
     v = y / ny
-    return float(v @ A.matvec(v)), v
+    return float(np.sum(v * A.matvec(v))), v
 
 
 def _residual(A: _Tridiag, lam, v) -> float:
     """||A v - lam v||."""
-    return float(np.linalg.norm(A.matvec(v) - lam * v))
+    return float(np.sqrt(np.sum((A.matvec(v) - lam * v) ** 2)))
 
 
 def _tol_eff(A: _Tridiag, tol: float) -> float:
     """The residual gate's target: tol floored at the rounding level
     50 * eps * ||A||, which large grids cannot get below."""
     return max(tol, 50.0 * np.finfo(float).eps * A.opnorm)
+
+
+def _certified(A: _Tridiag, lam, v, tol_eff) -> bool:
+    """||A v - lam v|| <= tol_eff and A - (lam - tol_eff) I positive
+    definite (dpttrf): 0 <= lam - lambda_0 < tol_eff (derivations §10)."""
+    from scipy.linalg.lapack import dpttrf
+    return _residual(A, lam, v) <= tol_eff and dpttrf(A.main - (lam - tol_eff), A.upper)[2] == 0
+
+
+def _cold_ground_pair(A: _Tridiag, tol: float = DEFAULT_TOL):
+    """Certified lowest pair (lam, unit vector) of the symmetric tridiagonal
+    A by inverse iteration from the ones vector, at shifts dpttrf certifies
+    below lambda_0 (derivations §10), closed one step past the gate of
+    tol_eff(min(tol, DEFAULT_TOL)); ConvergenceError after INVERSE_CAP."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    if not (np.isfinite(A.main).all() and np.isfinite(A.upper).all()):
+        raise ValueError("matrix must not contain infs or NaNs")
+    tol_eff = _tol_eff(A, min(tol, DEFAULT_TOL))
+    b = np.abs(A.upper)
+    sigma = float(np.min(A.main - np.r_[b, 0.0] - np.r_[0.0, b])) - tol_eff
+    d, e, _ = dpttrf(A.main - sigma, A.upper)  # diagonally dominant: succeeds
+    gated, v = False, np.ones(A.n)
+    for _ in range(INVERSE_CAP):
+        step = _inverse_step(A, lambda x: dpttrs(d, e, x)[0], v)
+        if step is None:
+            break
+        lam, v = step
+        if gated and _certified(A, lam, v, tol_eff):
+            return lam, v
+        r = _residual(A, lam, v)
+        gated, shift = r <= tol_eff, lam - r
+        while not gated and shift - sigma > tol_eff:  # past the gate sigma stays
+            fd, fe, info = dpttrf(A.main - shift, A.upper)
+            if info == 0:
+                sigma, d, e = shift, fd, fe
+            else:  # lambda_0 <= shift: halve the way up
+                shift = 0.5 * (sigma + shift)
+    raise ConvergenceError(f"lowest eigenpair not certified in {INVERSE_CAP} inverse steps")
 
 
 def smallest_eigenpairs(
@@ -76,28 +115,34 @@ def smallest_eigenpairs(
     orthonormal columns, eigenvalues in ascending order; iterations is
     None, since neither solver reports a count.  Pure tridiagonal
     matrices go through LAPACK bisection + inverse iteration; a rank-one
-    term is handled by shift-invert Lanczos with the shift below the
-    spectrum and Sherman-Morrison solves.  ``tol`` is a residual target,
+    term is handled by shift-invert Lanczos with the shift certified below
+    the spectrum and Sherman-Morrison solves.  ``tol`` is a residual target,
     floored at the rounding level 50 * eps * ||A||, which is unreachable
     below for large grids.
     """
-    import scipy.linalg as sla
-
     A = _Tridiag(diag, off, rank1=rank1)
     if A.rank1 is None:
+        import scipy.linalg as sla
         eigs, vecs = sla.eigh_tridiagonal(
             A.main, A.upper, select="i", select_range=(0, k - 1)
         )
     else:
         import scipy.sparse.linalg as spla
-        # the rank-one term is PSD (rho > 0) in every use here, so the
-        # tridiagonal part bounds the modified spectrum from below
-        lam_t = sla.eigh_tridiagonal(
-            A.main, A.upper, select="i", select_range=(0, 0), eigvals_only=True
-        )[0]
+        from scipy.linalg.lapack import dstebz
+        # sigma just below the kernel at 0 is below the spectrum if rho > 0 and
+        # T has m = 0 eigenvalues <= sigma, or 1 and rho u.(A - sigma)^-1 u > 1
         rho, u = A.rank1
-        lb = lam_t if rho >= 0.0 else lam_t + rho * float(u @ u)
-        sigma = lb - max(1e-8 * A.opnorm, 1e-8)
+        sigma = -max(1e-8 * A.opnorm, 1e-8)
+        m = dstebz(A.main, A.upper, 1, -np.inf, sigma, 0, 0, np.inf, "E")[0]
+        try:
+            certified = rho > 0.0 and (
+                m == 0 or (m == 1 and rho * (u @ A.solve_shifted(sigma, u)) > 1.0)
+            )
+        except np.linalg.LinAlgError:
+            certified = False
+        if not certified:  # else the same margin below a bound from T
+            lam_t = _cold_ground_pair(_Tridiag(A.main, A.upper), tol)[0]
+            sigma += lam_t if rho >= 0.0 else lam_t + rho * float(u @ u)
         lin = spla.LinearOperator((A.n, A.n), matvec=A.matvec, dtype=float)
         opinv = spla.LinearOperator(
             (A.n, A.n), matvec=lambda b: A.solve_shifted(sigma, b), dtype=float
@@ -140,9 +185,7 @@ def _warm_ground_pair(diag, off, guess, tol: float = DEFAULT_TOL):
 
     Three inverse-iteration steps at sigma = the guess's Rayleigh quotient
     less its residual, which dpttrf must certify below lambda_0; the result
-    must pass the gate of :func:`smallest_eigenpairs` and
-    A - (lam - tol_eff) I must factor, so lam is lambda_0 to within
-    tol_eff (docs/derivations.md §10).
+    must pass :func:`_certified` (docs/derivations.md §10).
     """
     from scipy.linalg.lapack import dpttrf, dpttrs
     A = _Tridiag(diag, off)
@@ -159,10 +202,7 @@ def _warm_ground_pair(diag, off, guess, tol: float = DEFAULT_TOL):
         if pair is None:
             return None
         lam, v = pair
-    tol_eff = _tol_eff(A, tol)
-    if _residual(A, lam, v) <= tol_eff and dpttrf(A.main - (lam - tol_eff), A.upper)[2] == 0:
-        return lam, v
-    return None
+    return (lam, v) if _certified(A, lam, v, _tol_eff(A, tol)) else None
 
 
 def rayleigh_quotient(psi: GridFunction, V: GridFunction) -> float:
@@ -181,20 +221,20 @@ def lowest_eigenpair(
 ) -> EigenPair:
     """Ground state of -Lap_ell + V on V's grid."""
     grid = V.grid
-    diag, off = symmetric_tridiagonal(grid, ell, V.values)
-    eigs, vecs, residuals, iters = smallest_eigenpairs(diag, off, k=1, tol=tol)
+    A = _Tridiag(*symmetric_tridiagonal(grid, ell, V.values))
+    lam, v = _cold_ground_pair(A, tol)
     w = grid.quad_weights
-    psi_vals = vecs[:, 0] / np.sqrt(w)
+    psi_vals = v / np.sqrt(w)
     # normalize in the quadrature L2 norm and fix the sign
     psi_vals /= np.sqrt(w @ psi_vals**2)
     peak = np.argmax(np.abs(psi_vals))
     if psi_vals[peak] < 0.0:
         psi_vals = -psi_vals
     return EigenPair(
-        lam=float(eigs[0]),
+        lam=lam,
         psi=GridFunction(grid, psi_vals),
-        residual=float(residuals[0]),
-        iterations=iters,
+        residual=_residual(A, lam, v),
+        iterations=None,
     )
 
 
