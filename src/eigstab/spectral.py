@@ -71,7 +71,7 @@ def _certified(A: _Tridiag, lam, v, tol_eff) -> bool:
     return _residual(A, lam, v) <= tol_eff and dpttrf(A.main - (lam - tol_eff), A.upper)[2] == 0
 
 
-def _cold_ground_pair(A: _Tridiag, tol: float = DEFAULT_TOL):
+def _cold_ground_pair(A: _Tridiag, tol: float):
     """Certified lowest pair (lam, unit vector) of the symmetric tridiagonal
     A by inverse iteration from the ones vector, at shifts dpttrf certifies
     below lambda_0 (derivations §10), closed one step past the gate of
@@ -99,7 +99,7 @@ def _cold_ground_pair(A: _Tridiag, tol: float = DEFAULT_TOL):
                 sigma, d, e = shift, fd, fe
             else:  # lambda_0 <= shift: halve the way up
                 shift = 0.5 * (sigma + shift)
-    raise ConvergenceError(f"lowest eigenpair not certified in {INVERSE_CAP} inverse steps")
+    raise ConvergenceError(f"ground pair not certified by inverse iteration (cap {INVERSE_CAP})")
 
 
 def smallest_eigenpairs(

@@ -7,8 +7,13 @@ import json
 import numpy as np
 import pytest
 
+from eigstab import hessian, spectral
 from eigstab.cli import main
-from eigstab.grid import Grid, symmetric_tridiagonal
+from eigstab.exceptions import ConvergenceError
+from eigstab.grid import Grid, _Tridiag, symmetric_tridiagonal
+from eigstab.groundstate import _second_variation, optimal_potential
+from eigstab.hessian import KERNEL_TOL_FACTOR, kernel_report
+from eigstab.spectral import _tol_eff, lowest_eigenpair
 
 
 def _sech_well(n, depth=2.0):
@@ -32,8 +37,6 @@ def test_fine_grid_eigenvalue_is_the_rayleigh_quotient_of_its_vector():
     # bisection to abstol eps * ||A||_1 left lambda(-2 sech^2) 2.9e-11 off at
     # n = 16000; the Rayleigh quotient of the returned vector, summed in long
     # double, is accurate to rounding in the vector
-    from eigstab.spectral import lowest_eigenpair
-
     V = _sech_well(16000)
     pair = lowest_eigenpair(V)
     diag, off = symmetric_tridiagonal(V.grid, 0, V.values)
@@ -52,14 +55,10 @@ def test_convergence_table_reads_the_second_order_ratio(capsys):
 def test_residual_stays_at_rounding_level():
     # one inverse step past the gate: without it the reported residual
     # read 2.4e-10 here, against 2e-12 with it
-    from eigstab.spectral import lowest_eigenpair
-
     assert lowest_eigenpair(_sech_well(4000)).residual <= 1e-11
 
 
 def test_a_loose_tol_costs_no_accuracy():
-    from eigstab.spectral import lowest_eigenpair
-
     V = _sech_well(4000)
     tight, loose = lowest_eigenpair(V), lowest_eigenpair(V, tol=1e-4)
     assert abs(loose.lam - tight.lam) <= 1e-12
@@ -81,8 +80,6 @@ def _double_well(x):
 
 
 def _optimal_d3(gs):
-    from eigstab.groundstate import optimal_potential
-
     return optimal_potential(gs, grid=Grid.radial(3, 250.0, 300))
 
 
@@ -96,9 +93,6 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cold_pair_matches_dense_eigh(gs_q103_d3, case):
-    from eigstab.grid import _Tridiag
-    from eigstab.spectral import _tol_eff, lowest_eigenpair
-
     V = CASES[case](gs_q103_d3)
     diag, off = symmetric_tridiagonal(V.grid, 0, V.values)
     eigs, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
@@ -114,9 +108,6 @@ def test_cold_pair_matches_dense_eigh(gs_q103_d3, case):
 
 
 def test_cold_pair_cap_raises(monkeypatch):
-    from eigstab import spectral
-    from eigstab.exceptions import ConvergenceError
-
     monkeypatch.setattr(spectral, "INVERSE_CAP", 3)
     with pytest.raises(ConvergenceError, match="not certified"):
         spectral.lowest_eigenpair(_sech_well(4000))
@@ -127,9 +118,6 @@ def test_cold_pair_cap_raises(monkeypatch):
 
 def test_kernel_shift_cuts_the_shifted_solves(monkeypatch, gs_q4_d3):
     # the shift below T's own lowest eigenvalue took 137 solves here
-    from eigstab import hessian
-    from eigstab.grid import _Tridiag
-
     calls = []
     solve = _Tridiag.solve_shifted
 
@@ -148,18 +136,21 @@ def _rank_one_dense(diag, off, rho, u, k):
     return np.linalg.eigvalsh(dense)[:k]
 
 
-@pytest.mark.parametrize("rho", [0.3, 1e-6], ids=["two-below", "one-below-small-rho"])
-def test_uncertified_kernel_shift_falls_back(monkeypatch, rho):
-    # two-below: T has two eigenvalues under the kernel shift, so
-    # interlacing leaves H room for one negative eigenvalue; with one and a
-    # small rho, 1 + rho u.(T - sigma)^(-1) u > 0.  Either way the shift
-    # goes below T's lowest eigenvalue, found by the cold pair
-    from eigstab import spectral
-
+@pytest.mark.parametrize(
+    ("depth", "rho", "below"), [(6.0, 0.3, 2), (2.0, 1e-6, 1)],
+    ids=["two-below", "one-below-small-rho"],
+)
+def test_uncertified_kernel_shift_falls_back(monkeypatch, depth, rho, below):
+    # two-below: T (levels -4 and -1) has two eigenvalues under the kernel
+    # shift, so interlacing leaves H - sigma room for a negative
+    # eigenvalue; one-below: T has one (level -1), but rho is so small that
+    # 1 + rho u.(T - sigma)^(-1) u > 0.  Either way the shift goes below
+    # T's lowest eigenvalue, found by the cold pair
     g = Grid.line(10.0, 300)
-    depth = 6.0 if rho == 0.3 else 2.0  # levels -4, -1 or one level -1
     diag, off = symmetric_tridiagonal(g, 0, -depth / np.cosh(g.nodes) ** 2)
     u = np.sqrt(g.quad_weights) * np.exp(-(g.nodes**2))
+    tri = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    assert np.sum(tri <= -1e-8 * np.abs(diag).max()) == below
     cold = []
     pair = spectral._cold_ground_pair
 
@@ -175,8 +166,6 @@ def test_uncertified_kernel_shift_falls_back(monkeypatch, rho):
 
 
 def test_certified_kernel_shift_skips_the_cold_pair(monkeypatch, gs_q4_d1):
-    from eigstab import hessian, spectral
-
     def refuse(*args, **kwargs):
         raise AssertionError("the certified shift needs no cold pair")
 
@@ -226,9 +215,6 @@ PARENT_KERNEL = {
 
 @pytest.mark.parametrize("name", sorted(PARENT_KERNEL))
 def test_kernel_report_keeps_its_spectrum(request, name):
-    from eigstab.groundstate import _second_variation
-    from eigstab.hessian import KERNEL_TOL_FACTOR, kernel_report
-
     gs = request.getfixturevalue(name)
     rep = kernel_report(gs)
     assert rep.kernel_dim == (2 if gs.d == 1 else 4)
