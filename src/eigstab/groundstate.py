@@ -55,7 +55,7 @@ from .grid import (
     symmetric_tridiagonal,
 )
 from .measure import weighted_norm
-from .spectral import _warm_ground_pair, smallest_eigenpairs
+from .spectral import _cold_ground_pair
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +365,7 @@ def solve_ground_state(q: float, d: int, grid: Grid, tol: float = 1e-10) -> Grou
     # -- closing step: the certified ground pair at the Newton iterate --
     coupling = norm_q ** (2.0 - q)
     diag, off = symmetric_tridiagonal(grid, 0, -coupling * np.abs(psi) ** (q - 2.0))
-    pair = _warm_ground_pair(diag, off, v, tol)
-    if pair is None:
-        eigs, vecs, _, _ = smallest_eigenpairs(diag, off, k=1, tol=tol)
-        pair = eigs[0], vecs[:, 0]
+    pair = _cold_ground_pair(_Tridiag(diag, off), tol, v)
     psi = np.abs(pair[1]) / sw
     psi /= math.sqrt(w @ psi**2)
     energy = float(pair[0])

@@ -3,11 +3,11 @@
 The discretized operator is tridiagonal (plus an optional rank-one term,
 used by the linearization module).  Its ground pair comes from inverse
 iteration at shifts an LDL^T factorization certifies below the spectrum,
-which clusters of nearly degenerate low eigenvalues cannot fool; more
-pairs from LAPACK bisection + inverse iteration.  With a rank-one term,
-shift-invert Lanczos at a certified shift below the spectrum, with
-tridiagonal LU factored once per shift and Sherman-Morrison solves.
-Everything is deterministic for fixed inputs.
+which clusters of nearly degenerate low eigenvalues cannot fool.  More
+pairs, with or without a rank-one term, come from shift-invert Lanczos at
+a shift certified below the spectrum (a Sturm count, the determinant
+lemma, or that ground pair), with tridiagonal LU factored once per shift
+and Sherman-Morrison solves.  Everything is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -40,11 +40,12 @@ class EigenPair:
 def _inverse_step(A: _Tridiag, solve, v):
     """One inverse-iteration step, solve(v) = (A - sigma I)^(-1) v made a
     unit vector: (its Rayleigh quotient, it), or None when the solve is
-    singular or its result zero or not finite.  Sums are numpy's: BLAS
-    ddot threads past n = 10000, and took ~8 ms a call on 2 cores."""
+    singular, v or the result is not finite, or the result is zero.  Sums
+    are numpy's: BLAS ddot threads past n = 10000, and took ~8 ms a call
+    on 2 cores."""
     try:
         y = solve(v)
-    except np.linalg.LinAlgError:
+    except (np.linalg.LinAlgError, ValueError):  # ValueError: v or the shift not finite
         return None
     ny = np.sqrt(np.sum(y * y))
     if not 0.0 < ny < np.inf:
@@ -71,11 +72,13 @@ def _certified(A: _Tridiag, lam, v, tol_eff) -> bool:
     return _residual(A, lam, v) <= tol_eff and dpttrf(A.main - (lam - tol_eff), A.upper)[2] == 0
 
 
-def _cold_ground_pair(A: _Tridiag, tol: float):
+def _cold_ground_pair(A: _Tridiag, tol: float, guess=None):
     """Certified lowest pair (lam, unit vector) of the symmetric tridiagonal
-    A by inverse iteration from the ones vector, at shifts dpttrf certifies
-    below lambda_0 (derivations §10), closed one step past the gate of
-    tol_eff(min(tol, DEFAULT_TOL)); ConvergenceError after INVERSE_CAP."""
+    A by inverse iteration from guess (default: the ones vector), at shifts
+    dpttrf certifies below lambda_0 (derivations §10), closed one step past
+    the gate of tol_eff(min(tol, DEFAULT_TOL)); ConvergenceError after
+    INVERSE_CAP, or at once from a zero or non-finite guess.  A poor guess
+    costs steps, never a wrong pair."""
     from scipy.linalg.lapack import dpttrf, dpttrs
     if not (np.isfinite(A.main).all() and np.isfinite(A.upper).all()):
         raise ValueError("matrix must not contain infs or NaNs")
@@ -83,7 +86,7 @@ def _cold_ground_pair(A: _Tridiag, tol: float):
     b = np.abs(A.upper)
     sigma = float(np.min(A.main - np.r_[b, 0.0] - np.r_[0.0, b])) - tol_eff
     d, e, _ = dpttrf(A.main - sigma, A.upper)  # diagonally dominant: succeeds
-    gated, v = False, np.ones(A.n)
+    gated, v = False, np.ones(A.n) if guess is None else np.asarray(guess, dtype=float)
     for _ in range(INVERSE_CAP):
         step = _inverse_step(A, lambda x: dpttrs(d, e, x)[0], v)
         if step is None:
@@ -109,65 +112,59 @@ def smallest_eigenpairs(
     rank1=None,
     tol: float = DEFAULT_TOL,
 ):
-    """k smallest eigenpairs of a symmetric tridiagonal (+ rank-one) matrix.
+    """k < n smallest eigenpairs of a symmetric tridiagonal (+ rank-one) matrix.
 
     Returns (eigs, vecs, residuals, iterations) with vecs of shape (n, k),
     orthonormal columns, eigenvalues in ascending order; iterations is
-    None, since neither solver reports a count.  Pure tridiagonal
-    matrices go through LAPACK bisection + inverse iteration; a rank-one
-    term is handled by shift-invert Lanczos with the shift certified below
-    the spectrum and Sherman-Morrison solves.  ``tol`` is a residual target,
-    floored at the rounding level 50 * eps * ||A||, which is unreachable
-    below for large grids.
+    None, since ARPACK reports no count.  Shift-invert Lanczos at a shift
+    certified below the spectrum, Sherman-Morrison solves for the rank-one
+    term (rank1=None reads as rho = 0), then one inverse-iteration polish
+    per pair.  ``tol`` is a residual target, floored at the rounding level
+    50 * eps * ||A||, which is unreachable below for large grids.
     """
+    import scipy.sparse.linalg as spla
+    from scipy.linalg.lapack import dstebz
     A = _Tridiag(diag, off, rank1=rank1)
-    if A.rank1 is None:
-        import scipy.linalg as sla
-        eigs, vecs = sla.eigh_tridiagonal(
-            A.main, A.upper, select="i", select_range=(0, k - 1)
+    rho, u = (0.0, None) if A.rank1 is None else A.rank1
+    # sigma just below the kernel at 0 is below the spectrum if T has m = 0
+    # eigenvalues <= sigma and rho >= 0, or m = 1, rho > 0 and
+    # rho u.(A - sigma)^-1 u > 1 (derivations §10)
+    sigma = -max(1e-8 * A.opnorm, 1e-8)
+    m = dstebz(A.main, A.upper, 1, -np.inf, sigma, 0, 0, np.inf, "E")[0]
+    try:
+        certified = (m == 0 and rho >= 0.0) or (
+            m == 1 and rho > 0.0 and rho * (u @ A.solve_shifted(sigma, u)) > 1.0
         )
-    else:
-        import scipy.sparse.linalg as spla
-        from scipy.linalg.lapack import dstebz
-        # sigma just below the kernel at 0 is below the spectrum if rho > 0 and
-        # T has m = 0 eigenvalues <= sigma, or 1 and rho u.(A - sigma)^-1 u > 1
-        rho, u = A.rank1
-        sigma = -max(1e-8 * A.opnorm, 1e-8)
-        m = dstebz(A.main, A.upper, 1, -np.inf, sigma, 0, 0, np.inf, "E")[0]
-        try:
-            certified = rho > 0.0 and (
-                m == 0 or (m == 1 and rho * (u @ A.solve_shifted(sigma, u)) > 1.0)
-            )
-        except np.linalg.LinAlgError:
-            certified = False
-        if not certified:  # else the same margin below a bound from T
-            lam_t = _cold_ground_pair(_Tridiag(A.main, A.upper), tol)[0]
-            sigma += lam_t if rho >= 0.0 else lam_t + rho * float(u @ u)
-        lin = spla.LinearOperator((A.n, A.n), matvec=A.matvec, dtype=float)
-        opinv = spla.LinearOperator(
-            (A.n, A.n), matvec=lambda b: A.solve_shifted(sigma, b), dtype=float
-        )
-        v0 = np.exp(-4.0 * np.linspace(0.0, 1.0, A.n))
-        eigs, vecs = spla.eigsh(
-            lin,
-            k=k,
-            sigma=sigma,
-            OPinv=opinv,
-            which="LM",
-            v0=v0,
-            maxiter=ITERATION_CAP,
-            tol=0,
-        )
-        order = np.argsort(eigs)
-        eigs, vecs = eigs[order].copy(), vecs[:, order].copy()
-        # one inverse-iteration polish per pair: ARPACK residuals in
-        # shift-invert mode sit a little above rounding level
-        for j in range(k):
-            step = _inverse_step(A, lambda b: A.solve_shifted(eigs[j], b), vecs[:, j])
-            if step is not None:
-                eigs[j], vecs[:, j] = step
+    except np.linalg.LinAlgError:
+        certified = False
+    if not certified:  # else the same margin below a bound from T
+        lam_t = _cold_ground_pair(_Tridiag(A.main, A.upper), tol)[0]
+        sigma += lam_t if rho >= 0.0 else lam_t + rho * float(u @ u)
+    lin = spla.LinearOperator((A.n, A.n), matvec=A.matvec, dtype=float)
+    opinv = spla.LinearOperator(
+        (A.n, A.n), matvec=lambda b: A.solve_shifted(sigma, b), dtype=float
+    )
+    v0 = np.exp(-4.0 * np.linspace(0.0, 1.0, A.n))
+    eigs, vecs = spla.eigsh(
+        lin,
+        k=k,
+        sigma=sigma,
+        OPinv=opinv,
+        which="LM",
+        v0=v0,
+        maxiter=ITERATION_CAP,
+        tol=0,
+    )
+    order = np.argsort(eigs)
+    eigs, vecs = eigs[order].copy(), vecs[:, order].copy()
+    # one inverse-iteration polish per pair: ARPACK residuals in
+    # shift-invert mode sit a little above rounding level
+    for j in range(k):
+        step = _inverse_step(A, lambda b: A.solve_shifted(eigs[j], b), vecs[:, j])
+        if step is not None:
+            eigs[j], vecs[:, j] = step
 
-    residuals = np.array([_residual(A, eigs[j], vecs[:, j]) for j in range(len(eigs))])
+    residuals = np.array([_residual(A, eigs[j], vecs[:, j]) for j in range(k)])
     tol_eff = _tol_eff(A, tol)
     worst = float(residuals.max())
     if not worst <= tol_eff:
@@ -177,32 +174,6 @@ def smallest_eigenpairs(
             residual=worst,
         )
     return np.asarray(eigs, dtype=float), vecs, residuals, None
-
-
-def _warm_ground_pair(diag, off, guess, tol: float = DEFAULT_TOL):
-    """Certified lowest eigenpair (lam, unit vector) of the symmetric
-    tridiagonal (diag, off) from a nearby guess, or None.
-
-    Three inverse-iteration steps at sigma = the guess's Rayleigh quotient
-    less its residual, which dpttrf must certify below lambda_0; the result
-    must pass :func:`_certified` (docs/derivations.md §10).
-    """
-    from scipy.linalg.lapack import dpttrf, dpttrs
-    A = _Tridiag(diag, off)
-    nv = np.linalg.norm(guess)
-    if not 0.0 < nv < np.inf:
-        return None
-    v = np.asarray(guess, dtype=float) / nv
-    rho = float(v @ A.matvec(v))
-    d, e, info = dpttrf(A.main - (rho - _residual(A, rho, v)), A.upper)
-    if info != 0:
-        return None
-    for _ in range(3):
-        pair = _inverse_step(A, lambda b: dpttrs(d, e, b)[0], v)
-        if pair is None:
-            return None
-        lam, v = pair
-    return (lam, v) if _certified(A, lam, v, _tol_eff(A, tol)) else None
 
 
 def rayleigh_quotient(psi: GridFunction, V: GridFunction) -> float:

@@ -21,12 +21,16 @@ def _sech_well(n, depth=2.0):
     return g.function(-depth / np.cosh(g.nodes) ** 2)
 
 
-def _long_double_rayleigh(diag, off, v):
+def _long_double_rayleigh(diag, off, v, rank1=None):
     v = np.asarray(v, dtype=np.longdouble)
     d, e = np.asarray(diag, dtype=np.longdouble), np.asarray(off, dtype=np.longdouble)
     av = d * v
     av[:-1] += e * v[1:]
     av[1:] += e * v[:-1]
+    if rank1 is not None:
+        rho, u = rank1
+        u = np.asarray(u, dtype=np.longdouble)
+        av += np.longdouble(rho) * (u @ v) * u
     return (v @ av) / (v @ v)
 
 
@@ -174,7 +178,9 @@ def test_certified_kernel_shift_skips_the_cold_pair(monkeypatch, gs_q4_d1):
 
 
 #: kernel_report eigenvalues per channel (ell = 0, 1[, 2]) with the ell = 0
-#: shift below T's lowest eigenvalue, before the kernel shift
+#: shift below T's lowest eigenvalue, before the kernel shift; entries 1 and
+#: 2 of gs_q4_d3's ell = 2 are the long-double Rayleigh quotients of those
+#: vectors, which LAPACK bisection missed by 1.4e-10 (relative)
 PARENT_KERNEL = {
     "gs_q4_d1": (
         [2.195192891616297e-13, 0.34679978957071445, 0.41406060958360624,
@@ -199,7 +205,7 @@ PARENT_KERNEL = {
          0.0002189004292867703, 0.0002522796951925437],
         [-4.006197022916069e-09, 0.00018402666591353645, 0.00020180411574478597,
          0.00022872101678234665, 0.00026487881895239865],
-        [0.0001897780678925935, 0.00021176478754883444, 0.00024243807340163588,
+        [0.0001897780678925935, 0.00021176478752012664, 0.0002424380734360139,
          0.00028177654883195235, 0.00032970391727442166],
     ),
     "gs_q103_d3": (
@@ -225,3 +231,16 @@ def test_kernel_report_keeps_its_spectrum(request, name):
         for got, old in zip(channel.eigs, want, strict=True):
             bound = tol_kernel if abs(old) <= tol_kernel else 1e-10 * abs(old)
             assert abs(got - old) <= bound
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_KERNEL))
+def test_channel_eigenvalues_are_the_rayleigh_quotients_of_their_vectors(request, name):
+    # LAPACK bisection left the ell >= 1 eigenvalues 1.5e-11 to 1.4e-10
+    # (relative) off the Rayleigh quotients of their own vectors
+    gs = request.getfixturevalue(name)
+    for ell in range(len(PARENT_KERNEL[name])):
+        channel = hessian.build_channel(gs, ell)
+        for lam, v in zip(channel.lowest_eigs, channel.eigvecs.T, strict=True):
+            if lam > channel.tol_kernel:
+                rq = _long_double_rayleigh(channel.diag, channel.off, v, channel.rank1)
+                assert abs(lam - float(rq)) <= 2e-12 * lam

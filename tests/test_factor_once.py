@@ -1,16 +1,19 @@
-"""Shifted solves factored once per shift, the certified warm-start ground
-pair of the SCF polish, and the NaN-safe residual gates."""
+"""Shifted solves factored once per shift, the certified ground pair from a
+start vector (the Newton iterate of the profile solve), and the NaN-safe
+residual gates."""
 
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 import eigstab.groundstate as groundstate
+from eigstab import spectral
 from eigstab.exceptions import ConvergenceError
 from eigstab.grid import Grid, _Tridiag, laplacian_tridiagonal, symmetric_tridiagonal
-from eigstab.spectral import _warm_ground_pair, smallest_eigenpairs
+from eigstab.spectral import DEFAULT_TOL, smallest_eigenpairs
 
 
 def _nodal_radial(n=60):
@@ -91,7 +94,7 @@ def test_singular_shift_raises_linalg_error():
         _Tridiag(main, upper, lower).solve_shifted(2.0, np.ones(4))
 
 
-# -- the warm-start ground pair ----------------------------------------------
+# -- the ground pair from a start vector ----------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -105,26 +108,31 @@ def sech_well():
     return diag, off, eigs, vecs
 
 
+def _pair_from(diag, off, guess):
+    return spectral._cold_ground_pair(_Tridiag(diag, off), DEFAULT_TOL, guess)
+
+
 def test_warm_pair_from_the_ground_vector(sech_well):
     diag, off, eigs, vecs = sech_well
-    lam, v = _warm_ground_pair(diag, off, vecs[:, 0])
+    lam, v = _pair_from(diag, off, vecs[:, 0])
     assert abs(lam - eigs[0]) <= 1e-10
     assert abs(abs(v @ vecs[:, 0]) - 1.0) <= 1e-12
 
 
 def test_warm_pair_from_a_mixed_vector(sech_well):
     diag, off, eigs, vecs = sech_well
-    lam, v = _warm_ground_pair(diag, off, vecs[:, 0] + 1e-3 * vecs[:, 1])
+    lam, v = _pair_from(diag, off, vecs[:, 0] + 1e-3 * vecs[:, 1])
     assert abs(lam - eigs[0]) <= 1e-10
     assert abs(abs(v @ vecs[:, 0]) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("j", [1, 2], ids=["first-excited", "second-excited"])
 def test_warm_pair_refuses_an_excited_vector(sech_well, j):
-    # the excited vector's own shift is not below lambda_0; the helper must
-    # not return lambda_j
-    diag, off, _, vecs = sech_well
-    assert _warm_ground_pair(diag, off, vecs[:, j]) is None
+    # the excited vector passes the residual gate at once, but not the
+    # closing inertia check: the pair must be lambda_0, never lambda_j
+    diag, off, eigs, vecs = sech_well
+    lam, _ = _pair_from(diag, off, vecs[:, j])
+    assert abs(lam - eigs[0]) <= 1e-10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
@@ -134,25 +142,23 @@ def test_warm_pair_refuses_a_non_finite_or_zero_guess(sech_well, bad):
     guess[100] = bad
     if bad == 0.0:
         guess[:] = 0.0
-    assert _warm_ground_pair(diag, off, guess) is None
-
-
-def test_warm_pair_refuses_a_missed_residual(sech_well):
-    # from a flat guess a few inverse-iteration steps stay far from the gate
-    diag, off, _, _ = sech_well
-    assert _warm_ground_pair(diag, off, np.ones(diag.size)) is None
+    with pytest.raises(ConvergenceError):
+        _pair_from(diag, off, guess)
 
 
 def test_smallest_eigenpairs_refuses_nan_vectors(monkeypatch):
-    # a NaN residual must fail the gate, not pass it, whatever vectors this
-    # LAPACK build's dstein returns
-    def nan_pairs(d, e, **kwargs):
-        return np.zeros(1), np.full((d.size, 1), np.nan)
+    # NaN vectors from ARPACK must fail the residual gate, with or without a
+    # rank-one term: not pass it, nor escape the polish's shifted solve as a
+    # bare ValueError
+    def nan_pairs(A, k, **kwargs):
+        return np.zeros(k), np.full((A.shape[0], k), np.nan)
 
-    monkeypatch.setattr(sla, "eigh_tridiagonal", nan_pairs)
+    monkeypatch.setattr(spla, "eigsh", nan_pairs)
     n = 100
-    with pytest.raises(ConvergenceError):
-        smallest_eigenpairs(np.full(n, 2.0), np.full(n - 1, -1.0))
+    diag, off = np.full(n, 2.0), np.full(n - 1, -1.0)
+    for rank1 in (None, (1.0, np.full(n, 0.1))):
+        with pytest.raises(ConvergenceError):
+            smallest_eigenpairs(diag, off, 2, rank1)
 
 
 @pytest.mark.parametrize(
@@ -170,7 +176,7 @@ def test_grid_refuses_a_laplacian_out_of_range(make):
 
 # -- the SCF polish ------------------------------------------------------------
 
-#: C' as computed before the warm start, when the SCF polish called
+#: C' as computed when the SCF polish (since replaced by Newton) called
 #: smallest_eigenpairs on every step
 FULL_SOLVE_C_PRIME = {
     "gs_q4_d1": 0.32759277831582523,
@@ -189,35 +195,36 @@ def test_scf_constant_matches_the_full_eigensolve_polish(request, name):
 
 
 def test_scf_polish_takes_the_warm_path(monkeypatch):
-    calls = {"warm": 0, "miss": 0, "lapack": 0}
-    warm, full = groundstate._warm_ground_pair, groundstate.smallest_eigenpairs
+    # the closing pair starts from the Newton iterate: a few inverse steps,
+    # and no further eigensolve
+    steps = []
+    step = spectral._inverse_step
 
-    def counted_warm(*args, **kwargs):
-        pair = warm(*args, **kwargs)
-        calls["warm" if pair is not None else "miss"] += 1
-        return pair
+    def counted(*args):
+        steps.append(1)
+        return step(*args)
 
-    def counted_full(*args, **kwargs):
-        calls["lapack"] += 1
-        return full(*args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the profile solve needs one eigensolver")
 
-    monkeypatch.setattr(groundstate, "_warm_ground_pair", counted_warm)
-    monkeypatch.setattr(groundstate, "smallest_eigenpairs", counted_full)
+    monkeypatch.setattr(spectral, "_inverse_step", counted)
+    monkeypatch.setattr(spectral, "smallest_eigenpairs", refuse)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         gs = groundstate.solve_ground_state(4.0, 1, Grid.radial(1, 20.0, 4000))
     assert gs.C_prime == pytest.approx(FULL_SOLVE_C_PRIME["gs_q4_d1"], rel=1e-10)
-    assert calls["lapack"] == calls["miss"]
-    assert calls["warm"] > calls["miss"]
+    assert 1 <= len(steps) <= 3
+    assert not hasattr(groundstate, "smallest_eigenpairs")
 
 
 @pytest.mark.parametrize("eps", [1e-6, 3e-5, 1e-4])
 def test_warm_pair_refuses_an_excited_vector_under_high_noise(sech_well, eps):
-    # psi_1 plus a little of the top eigenvector: the large residual lets the
-    # shift fall below lambda_0, but the guess holds no psi_0 to amplify, so
-    # inverse iteration settles on psi_1 with a residual under the gate; only
-    # the closing inertia check tells it from lambda_0
-    diag, off, _, vecs = sech_well
+    # psi_1 plus a little of the top eigenvector: the guess holds no psi_0 to
+    # amplify, so inverse iteration first settles on psi_1 with a residual
+    # under the gate; the closing inertia check refuses lambda_1, and the
+    # steps go on until the rounding-level psi_0 takes over
+    diag, off, eigs, vecs = sech_well
     n = diag.size
     top = sla.eigh_tridiagonal(diag, off, select="i", select_range=(n - 1, n - 1))[1][:, 0]
-    assert _warm_ground_pair(diag, off, vecs[:, 1] + eps * top) is None
+    lam, _ = _pair_from(diag, off, vecs[:, 1] + eps * top)
+    assert abs(lam - eigs[0]) <= 1e-10
