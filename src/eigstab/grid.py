@@ -192,34 +192,24 @@ def norm_l2(f: GridFunction) -> float:
 norm_lp = lp_norm  # a grid's L^p norm is its measure's
 
 
-def laplacian_tridiagonal(grid: Grid, ell: int = 0):
-    """Tridiagonal nodal matrix (main, upper, lower) of the operator
+def symmetric_tridiagonal(grid: Grid, ell: int = 0, potential=None):
+    """Tridiagonal (diag, off) of -Lap_ell + potential in sqrt(w) coordinates.
 
-        f -> -f'' - ((d-1)/r) f' + ell (ell + d - 2) / r^2 f
-
-    in flux form (line grids: plain -f'' with Dirichlet ghosts).  The
-    matrix is symmetric under the quadrature inner product:
-    w_i A[i, i+1] = w_{i+1} A[i+1, i].
+    The flux-form operator f -> -f'' - ((d-1)/r) f' + ell (ell + d - 2) / r^2 f
+    (line grids: plain -f'' with Dirichlet ghosts) is symmetric under the
+    quadrature inner product, so on v = sqrt(w) f it is a symmetric matrix:
+    off[i] = upper[i] sqrt(w_i / w_{i+1}) from the nodal matrix's upper[i].
+    Vectors map back by dividing by sqrt(quad_weights).
     """
-    n, h = grid.n, grid.spacing
-    e = grid.edge_factors()
-    if grid.kind == "line":
-        if ell != 0:
-            raise UnsupportedChannelError("line grids only support ell = 0")
-        main = np.full(n, 2.0 / h**2)
-        off = np.full(n - 1, -1.0 / h**2)
-        return main, off, off.copy()
-
-    if ell < 0:
-        raise UnsupportedChannelError("ell must be nonnegative")
-    r = grid.nodes
-    vol = r ** (grid.dim - 1)
+    if ell < 0 or (grid.kind == "line" and ell != 0):
+        raise UnsupportedChannelError(f"{grid.kind} grids have no channel ell = {ell}")
+    h, e, r = grid.spacing, grid.edge_factors(), grid.nodes
+    vol = r ** (grid.dim - 1)  # 1 on line grids
     main = (e[:-1] + e[1:]) / (vol * h**2)
     upper = -e[1:-1] / (vol[:-1] * h**2)
-    lower = -e[1:-1] / (vol[1:] * h**2)
     # r = 0 closure: for d >= 2 the edge factor vanishes; in d = 1 the
     # even sector reflects (zero flux) and the odd sector antireflects.
-    if grid.dim == 1:
+    if grid.kind == "radial" and grid.dim == 1:
         if ell == 0:
             main[0] -= e[0] / (vol[0] * h**2)
         elif ell == 1:
@@ -229,17 +219,6 @@ def laplacian_tridiagonal(grid: Grid, ell: int = 0):
     cent = ell * (ell + grid.dim - 2)
     if cent != 0:
         main = main + cent / r**2
-    return main, upper, lower
-
-
-def symmetric_tridiagonal(grid: Grid, ell: int = 0, potential=None):
-    """Symmetrized tridiagonal (diag, offdiag) of -Lap_ell + potential.
-
-    Works in the sqrt(weight)-rescaled coordinates, where the operator
-    is a plain symmetric matrix; eigenvalues are unchanged and vectors
-    map back by dividing by sqrt(quad_weights).
-    """
-    main, upper, lower = laplacian_tridiagonal(grid, ell)
     if potential is not None:
         main = main + np.asarray(potential, dtype=float)
     w = grid.quad_weights
@@ -248,19 +227,16 @@ def symmetric_tridiagonal(grid: Grid, ell: int = 0, potential=None):
 
 
 class _Tridiag:
-    """Tridiagonal matrix plus an optional rank-one term rho u u^T.
+    """Symmetric tridiagonal matrix plus an optional rank-one term rho u u^T.
 
-    Row i holds main[i] on the diagonal, upper[i] in column i+1 and
-    lower[i-1] in column i-1; ``lower`` defaults to ``upper`` (the
-    symmetric case).  Serves the nodal form (main, upper, lower) of
-    :func:`laplacian_tridiagonal` and the symmetrized form (diag, off) of
-    :func:`symmetric_tridiagonal` alike.
+    Row i holds main[i] on the diagonal and upper[i] in column i+1, and by
+    symmetry upper[i-1] in column i-1: the (diag, off) of
+    :func:`symmetric_tridiagonal`.
     """
 
-    def __init__(self, main, upper, lower=None, rank1=None):
+    def __init__(self, main, upper, rank1=None):
         self.main = np.asarray(main, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
-        self.lower = self.upper if lower is None else np.asarray(lower, dtype=float)
         self.n = self.main.size
         self._shift = None  # (sigma, LU factors, (z, 1 + rho u.z) or None)
         self.rank1 = None
@@ -270,11 +246,11 @@ class _Tridiag:
 
     @property
     def opnorm(self) -> float:
-        """Largest absolute row sum of the tridiagonal part plus |rho| u.u;
-        for a symmetric matrix, a bound on its 2-norm."""
+        """Largest absolute row sum of the tridiagonal part plus |rho| u.u,
+        a bound on the 2-norm."""
         bound = np.abs(self.main)
         bound[:-1] += np.abs(self.upper)
-        bound[1:] += np.abs(self.lower)
+        bound[1:] += np.abs(self.upper)
         top = float(bound.max())
         if self.rank1 is not None:
             rho, u = self.rank1
@@ -284,7 +260,7 @@ class _Tridiag:
     def matvec(self, v):
         out = self.main * v
         out[:-1] += self.upper * v[1:]
-        out[1:] += self.lower * v[:-1]
+        out[1:] += self.upper * v[:-1]
         if self.rank1 is not None:
             rho, u = self.rank1
             out += rho * (u @ v) * u
@@ -302,9 +278,9 @@ class _Tridiag:
             raise ValueError("right-hand side must not contain infs or NaNs")
         if self._shift is None or self._shift[0] != sigma:
             diag = self.main - sigma
-            if not all(np.isfinite(a).all() for a in (diag, self.upper, self.lower)):
+            if not (np.isfinite(diag).all() and np.isfinite(self.upper).all()):
                 raise ValueError("matrix must not contain infs or NaNs")
-            *lu, info = dgttrf(self.lower, diag, self.upper)
+            *lu, info = dgttrf(self.upper, diag, self.upper)
             if info > 0:
                 raise np.linalg.LinAlgError("singular matrix")
             sm = None
@@ -323,8 +299,10 @@ class _Tridiag:
 
 
 def laplacian_apply(f: GridFunction, ell: int = 0) -> GridFunction:
-    """Apply the (channel-ell) negative Laplacian to f."""
-    return GridFunction(f.grid, _Tridiag(*laplacian_tridiagonal(f.grid, ell)).matvec(f.values))
+    """Apply the (channel-ell) negative Laplacian to f: (A (sqrt(w) f)) / sqrt(w)."""
+    sw = np.sqrt(f.grid.quad_weights)
+    A = _Tridiag(*symmetric_tridiagonal(f.grid, ell))
+    return GridFunction(f.grid, A.matvec(sw * f.values) / sw)
 
 
 def gradient_squared_integral(f: GridFunction) -> float:

@@ -49,13 +49,11 @@ from .grid import (
     _Tridiag,
     exact,
     gradient_squared_integral,
-    laplacian_apply,
-    laplacian_tridiagonal,
     norm_lp,
     symmetric_tridiagonal,
 )
 from .measure import weighted_norm
-from .spectral import _cold_ground_pair
+from .spectral import _cold_ground_pair, _residual
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +220,6 @@ class GroundState:
         )
 
 
-def _el_residual(grid, psi, energy, coupling, q):
-    """Weighted L2 norm of -Lap Q - c Q^(q-1) - E Q."""
-    f = GridFunction(grid, psi)
-    res = laplacian_apply(f).values - coupling * psi ** (q - 1.0) - energy * psi
-    return float(np.sqrt(grid.quad_weights @ res**2))
-
-
 def interpolation_constant_from_c_prime(c_prime: float, theta: float) -> float:
     """Invert the scaling identity: S = theta ((1-theta)/C')^(1-theta)."""
     return float(theta * ((1.0 - theta) / c_prime) ** (1.0 - theta))
@@ -263,24 +254,24 @@ def _petviashvili(grid: Grid, q: float) -> np.ndarray:
 
     Fixed-point iteration u <- gamma^alpha (-Lap + 1)^(-1) u^(q-1), alpha =
     (q-1)/(q-2), gamma = <(-Lap+1)u, u> / <u^(q-1), u>, which is 1 at the fixed
-    point; it stops on |gamma - 1| < 1e-12 alone, since u only seeds Newton
-    through an O(h^2) interpolation, and Newton's closing step gates the residual.
+    point; it runs on v = sqrt(w) u with the symmetric A + I and returns u.  It
+    stops on |gamma - 1| < 1e-12 alone, since u only seeds Newton through an
+    O(h^2) interpolation, and Newton's closing step gates the residual.
     """
-    w = grid.quad_weights
-    r = grid.nodes
-    lap = _Tridiag(*laplacian_tridiagonal(grid, 0))
+    sw = np.sqrt(grid.quad_weights)
+    A = _Tridiag(*symmetric_tridiagonal(grid, 0))
     alpha = (q - 1.0) / (q - 2.0)
-    u = 2.0 * np.exp(-(r**2) / 2.0)
+    v = sw * (2.0 * np.exp(-(grid.nodes**2) / 2.0))
     for _ in range(500):
-        mu = lap.matvec(u)
-        mu += u
-        rhs = u ** (q - 1.0)
-        num = float(w @ (mu * u))
-        den = float(w @ (rhs * u))
+        rhs = sw * (v / sw) ** (q - 1.0)  # sqrt(w) u^(q-1), so v.rhs = sum w u^q
+        mv = A.matvec(v)
+        mv += v
+        num = float(v @ mv)
+        den = float(v @ rhs)
         if den <= 0.0 or not np.isfinite(den):
             raise ConvergenceError("profile iteration degenerated")
         gamma = num / den
-        # (-Lap + 1)^(-1) is the shifted solve at sigma = -1
+        # (A + I)^(-1) is the shifted solve at sigma = -1
         try:
             factor = gamma**alpha
         except OverflowError as exc:
@@ -288,11 +279,11 @@ def _petviashvili(grid: Grid, q: float) -> np.ndarray:
                 f"q = {q} lies too close to 2 for the profile iteration: "
                 f"its factor gamma^{alpha:.6g} overflows"
             ) from exc
-        u = factor * lap.solve_shifted(-1.0, rhs)
-        u = np.maximum(u, 0.0)
+        v = factor * A.solve_shifted(-1.0, rhs)
+        v = np.maximum(v, 0.0)
         if abs(gamma - 1.0) < 1e-12:
             break
-    return u
+    return v / sw
 
 
 def _unit_seed(q: float, d: int):
@@ -369,7 +360,9 @@ def solve_ground_state(q: float, d: int, grid: Grid, tol: float = 1e-10) -> Grou
     psi = np.abs(pair[1]) / sw
     psi /= math.sqrt(w @ psi**2)
     energy = float(pair[0])
-    residual = _el_residual(grid, psi, energy, coupling, q)
+    # the weighted L2 norm of -Lap psi - c psi^(q-1) - E psi, in sqrt(w) coordinates
+    A = _Tridiag(*symmetric_tridiagonal(grid, 0, -coupling * psi ** (q - 2.0)))
+    residual = _residual(A, energy, sw * psi)
     tol_eff = max(tol, 200.0 * np.finfo(float).eps * 2.0 / grid.spacing**2)
     if not residual <= tol_eff:
         raise ConvergenceError(

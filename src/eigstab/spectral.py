@@ -112,7 +112,8 @@ def smallest_eigenpairs(
     rank1=None,
     tol: float = DEFAULT_TOL,
 ):
-    """k < n smallest eigenpairs of a symmetric tridiagonal (+ rank-one) matrix.
+    """k smallest eigenpairs of a symmetric tridiagonal (+ rank-one) matrix;
+    a k that is not an integer with 1 <= k < n raises ValueError.
 
     Returns (eigs, vecs, residuals, iterations) with vecs of shape (n, k),
     orthonormal columns, eigenvalues in ascending order; iterations is
@@ -125,6 +126,8 @@ def smallest_eigenpairs(
     import scipy.sparse.linalg as spla
     from scipy.linalg.lapack import dstebz
     A = _Tridiag(diag, off, rank1=rank1)
+    if not isinstance(k, int | np.integer) or not 1 <= k < A.n:
+        raise ValueError(f"k must be an integer with 1 <= k < n = {A.n}, got {k!r}")
     rho, u = (0.0, None) if A.rank1 is None else A.rank1
     # sigma just below the kernel at 0 is below the spectrum if T has m = 0
     # eigenvalues <= sigma and rho >= 0, or m = 1, rho > 0 and

@@ -12,27 +12,25 @@ import scipy.sparse.linalg as spla
 import eigstab.groundstate as groundstate
 from eigstab import spectral
 from eigstab.exceptions import ConvergenceError
-from eigstab.grid import Grid, _Tridiag, laplacian_tridiagonal, symmetric_tridiagonal
+from eigstab.grid import Grid, _Tridiag, symmetric_tridiagonal
 from eigstab.spectral import DEFAULT_TOL, smallest_eigenpairs
 
 
-def _nodal_radial(n=60):
-    # the nodal radial Laplacian is not symmetric: upper != lower
+def _radial_well(n=60):
     g = Grid.radial(3, 5.0, n)
-    main, upper, lower = laplacian_tridiagonal(g, 0)
-    main = main - 2.0 * np.exp(-g.nodes)
+    main, off = symmetric_tridiagonal(g, 0, -2.0 * np.exp(-g.nodes))
     u = np.exp(-g.nodes)
-    return g, main, upper, lower, u
+    return g, main, off, u
 
 
 @pytest.mark.parametrize("rank1", [False, True], ids=["tridiagonal", "rank1"])
 def test_alternating_shifts_match_dense_solves(rank1):
-    g, main, upper, lower, u = _nodal_radial()
+    g, main, off, u = _radial_well()
     term = (0.7, u) if rank1 else None
-    dense = np.diag(main) + np.diag(upper, 1) + np.diag(lower, -1)
+    dense = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     if rank1:
         dense = dense + 0.7 * np.outer(u, u)
-    A = _Tridiag(main, upper, lower, term)
+    A = _Tridiag(main, off, term)
     rng = np.random.default_rng(5)
     for sigma in (-1.0, -0.25, -1.0, -0.25, -0.25):
         b = rng.normal(size=g.n)
@@ -42,19 +40,19 @@ def test_alternating_shifts_match_dense_solves(rank1):
 
 @pytest.mark.parametrize("rank1", [False, True], ids=["tridiagonal", "rank1"])
 def test_repeated_solves_are_bit_identical_to_a_fresh_matrix(rank1):
-    g, main, upper, lower, u = _nodal_radial(400)
+    g, main, off, u = _radial_well(400)
     term = (0.7, u) if rank1 else None
-    kept = _Tridiag(main, upper, lower, term)
+    kept = _Tridiag(main, off, term)
     rng = np.random.default_rng(6)
     for sigma in (-1.0, -1.0, -3.0, -1.0):
         b = rng.normal(size=g.n)
-        fresh = _Tridiag(main, upper, lower, term).solve_shifted(sigma, b)
+        fresh = _Tridiag(main, off, term).solve_shifted(sigma, b)
         assert np.array_equal(kept.solve_shifted(sigma, b), fresh)
 
 
 def test_solve_leaves_its_right_hand_side_alone():
-    _, main, upper, lower, u = _nodal_radial()
-    A = _Tridiag(main, upper, lower, (0.7, u))
+    _, main, off, u = _radial_well()
+    A = _Tridiag(main, off, (0.7, u))
     b = np.cos(np.arange(main.size))
     copy = b.copy()
     A.solve_shifted(-1.0, b)
@@ -64,8 +62,8 @@ def test_solve_leaves_its_right_hand_side_alone():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_non_finite_right_hand_side_raises_on_every_solve(bad):
-    _, main, upper, lower, _ = _nodal_radial()
-    A = _Tridiag(main, upper, lower)
+    _, main, off, _ = _radial_well()
+    A = _Tridiag(main, off)
     b = np.ones(main.size)
     A.solve_shifted(-1.0, b)  # the shift is factored and kept
     b[7] = bad
@@ -74,24 +72,23 @@ def test_non_finite_right_hand_side_raises_on_every_solve(bad):
 
 
 def test_non_finite_matrix_or_shift_raises_when_factored():
-    _, main, upper, lower, _ = _nodal_radial()
-    upper = upper.copy()
-    upper[3] = np.nan
+    _, main, off, _ = _radial_well()
+    off = off.copy()
+    off[3] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _Tridiag(main, upper, lower).solve_shifted(-1.0, np.ones(main.size))
-    _, main, upper, lower, _ = _nodal_radial()
+        _Tridiag(main, off).solve_shifted(-1.0, np.ones(main.size))
+    _, main, off, _ = _radial_well()
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _Tridiag(main, upper, lower).solve_shifted(np.nan, np.ones(main.size))
+        _Tridiag(main, off).solve_shifted(np.nan, np.ones(main.size))
 
 
 def test_singular_shift_raises_linalg_error():
     # the first pivot of A - 2 I is exactly zero and nothing below it
     # can be swapped up: column 0 of the shifted matrix is zero
     main = np.array([2.0, 3.0, 4.0, 5.0])
-    upper = np.array([1.0, 1.0, 1.0])
-    lower = np.array([0.0, 1.0, 1.0])
+    off = np.array([0.0, 1.0, 1.0])
     with pytest.raises(np.linalg.LinAlgError):
-        _Tridiag(main, upper, lower).solve_shifted(2.0, np.ones(4))
+        _Tridiag(main, off).solve_shifted(2.0, np.ones(4))
 
 
 # -- the ground pair from a start vector ----------------------------------------

@@ -13,7 +13,6 @@ from eigstab.grid import (
     inner,
     integrate,
     laplacian_apply,
-    laplacian_tridiagonal,
     norm_l2,
     norm_lp,
     radial_derivative,
@@ -71,50 +70,36 @@ def test_lp_norm_matches_quadrature():
 
 
 def test_laplacian_symmetry_under_quadrature():
+    rng = np.random.default_rng(3)
     for g in (Grid.radial(3, 5.0, 64), Grid.radial(1, 5.0, 64), Grid.line(5.0, 64)):
         for ell in (0, 1, 2):
             if g.kind == "line" and ell > 0:
                 continue
             if g.dim == 1 and ell > 1:
                 continue
-            main, upper, lower = laplacian_tridiagonal(g, ell)
-            w = g.quad_weights
-            assert np.allclose(w[:-1] * upper, w[1:] * lower, rtol=1e-12)
-
-
-def test_symmetric_form_same_spectrum():
-    g = Grid.radial(3, 5.0, 64)
-    main, upper, lower = laplacian_tridiagonal(g, 0)
-    A = np.diag(main) + np.diag(upper, 1) + np.diag(lower, -1)
-    w = g.quad_weights
-    diag, off = symmetric_tridiagonal(g, 0)
-    S = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    ea = np.sort(np.linalg.eigvals(A).real)
-    es = np.sort(np.linalg.eigvalsh(S))
-    assert np.allclose(ea, es, atol=1e-8 * np.abs(es).max())
+            f = GridFunction(g, rng.standard_normal(g.n))
+            h = GridFunction(g, rng.standard_normal(g.n))
+            lhs = inner(f, laplacian_apply(h, ell))
+            assert lhs == pytest.approx(inner(laplacian_apply(f, ell), h), rel=1e-12)
 
 
 @pytest.mark.parametrize("rank1", [False, True], ids=["tridiagonal", "rank1"])
 def test_tridiag_matches_dense(rank1):
-    # the nodal radial Laplacian is not symmetric: upper != lower
     g = Grid.radial(3, 5.0, 40)
-    main, upper, lower = laplacian_tridiagonal(g, 0)
-    assert not np.allclose(upper, lower)
+    diag, off = symmetric_tridiagonal(g, 0)
     u = np.exp(-g.nodes)
     term = (0.7, u) if rank1 else None
     extra = 0.7 * np.outer(u, u) if rank1 else 0.0
-    tri = np.diag(main) + np.diag(upper, 1) + np.diag(lower, -1)
-    A = _Tridiag(main, upper, lower, term)
+    tri = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    A = _Tridiag(diag, off, term)
     v = np.cos(g.nodes)
     np.testing.assert_allclose(A.matvec(v), (tri + extra) @ v, rtol=0, atol=1e-12 * np.abs(tri).max())
     for sigma in (-1.0, -0.25):
         want = np.linalg.solve(tri + extra - sigma * np.eye(g.n), v)
         np.testing.assert_allclose(A.solve_shifted(sigma, v), want, rtol=1e-10)
-    assert _Tridiag(main, upper, lower).opnorm >= np.linalg.norm(tri, np.inf)
-    # symmetrized form: opnorm bounds the 2-norm, rank-one term included
-    diag, off = symmetric_tridiagonal(g, 0)
-    sym = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) + extra
-    assert _Tridiag(diag, off, rank1=term).opnorm >= np.linalg.norm(sym, 2)
+    assert _Tridiag(diag, off).opnorm >= np.linalg.norm(tri, np.inf)
+    # opnorm bounds the 2-norm, rank-one term included
+    assert A.opnorm >= np.linalg.norm(tri + extra, 2)
 
 
 def test_laplacian_pointwise_identity_away_from_origin():
@@ -163,11 +148,11 @@ def test_h1_distance_zero_and_symmetry():
 
 def test_unsupported_channels():
     with pytest.raises(UnsupportedChannelError):
-        laplacian_tridiagonal(Grid.line(5.0, 32), 1)
+        symmetric_tridiagonal(Grid.line(5.0, 32), 1)
     with pytest.raises(UnsupportedChannelError):
-        laplacian_tridiagonal(Grid.radial(1, 5.0, 32), 2)
+        symmetric_tridiagonal(Grid.radial(1, 5.0, 32), 2)
     with pytest.raises(UnsupportedChannelError):
-        laplacian_tridiagonal(Grid.radial(3, 5.0, 32), -1)
+        symmetric_tridiagonal(Grid.radial(3, 5.0, 32), -1)
 
 
 def test_grid_function_validation():

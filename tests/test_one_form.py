@@ -1,0 +1,66 @@
+"""Gates that the fixtures never reach: the profile's residual gate, the
+kernel report's anomaly path through the CLI, and the range of k in
+smallest_eigenpairs."""
+
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from eigstab import groundstate, hessian
+from eigstab.cli import main
+from eigstab.exceptions import ConvergenceError
+from eigstab.grid import Grid, GridFunction
+from eigstab.spectral import smallest_eigenpairs
+
+
+def test_a_perturbed_closing_pair_fails_the_residual_gate(monkeypatch):
+    # 1e-6 cos(i) on the certified pair's vector puts the profile's residual
+    # far above tol_eff: the solve must refuse and hand back what it had
+    pair = groundstate._cold_ground_pair
+
+    def perturbed(*args):
+        lam, v = pair(*args)
+        v = v + 1e-6 * np.cos(np.arange(v.size))
+        return lam, v / np.linalg.norm(v)
+
+    monkeypatch.setattr(groundstate, "_cold_ground_pair", perturbed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ConvergenceError, match="profile solve stalled") as info:
+            groundstate.solve_ground_state(4.0, 1, Grid.radial(1, 20.0, 4000))
+    assert isinstance(info.value.best, GridFunction)
+    assert math.isfinite(info.value.residual)
+    assert info.value.residual == pytest.approx(1.657, rel=1e-3)
+
+
+def test_a_kernel_anomaly_is_a_contract_violation(monkeypatch, capsys):
+    # with the kernel tolerance at the whole potential scale, every low mode
+    # of channels 0 and 1 counts as kernel
+    monkeypatch.setattr(hessian, "KERNEL_TOL_FACTOR", 1.0)
+    code = main(["hessian", "--q", "4", "--d", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        "contract violation: channel ell=0: 5 near-zero eigenvalues, "
+        "expected 1 (tol 1.638e+00)\n"
+    )
+    doc = json.loads(captured.out)
+    assert len(doc["anomalies"]) == 2
+    assert doc["kernel_dim"] == 10
+
+
+@pytest.mark.parametrize("k", [0, 6, 7, 2.5], ids=["zero", "n", "n+1", "fraction"])
+def test_smallest_eigenpairs_refuses_k_out_of_range(monkeypatch, k):
+    import scipy.linalg.lapack as lapack
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("k must be checked before any factorization")
+
+    monkeypatch.setattr(lapack, "dgttrf", refuse)
+    monkeypatch.setattr(lapack, "dpttrf", refuse)
+    n = 6
+    with pytest.raises(ValueError, match="1 <= k < n"):
+        smallest_eigenpairs(np.full(n, 2.0), np.full(n - 1, -1.0), k)
