@@ -420,21 +420,12 @@ def profile_interpolant(gs: GroundState):
     return evaluate
 
 
-def _base_profile(gs: GroundState):
-    """Callable V0_-(r) of the unit-scale member, one per ground state."""
-    return gs._v0neg
-
-
-def _family_neg(
-    gs: GroundState, grid: Grid, b: float, a: float, v0=None
-) -> np.ndarray:
-    """Nodal values of W_- for the member with parameters (b, a); ``v0``
-    defaults to the ground state's one profile interpolant."""
-    if v0 is None:
-        v0 = _base_profile(gs)
+def _family_neg(gs: GroundState, grid: Grid, b: float, a: float) -> np.ndarray:
+    """Nodal values of W_- for the member with parameters (b, a), from the
+    ground state's one profile interpolant."""
     x = grid.nodes
     arg = b * np.abs(x - a) if grid.kind == "line" else b * x
-    return b**2 * v0(arg)
+    return b**2 * gs._v0neg(arg)
 
 
 def optimal_potential(

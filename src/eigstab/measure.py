@@ -127,10 +127,6 @@ class MeasFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def is_real(self) -> bool:
-        return bool(real_rows(self.values))
-
     def map(self, fn) -> "MeasFunction":
         return type(self)(self.measure, fn(self.values))
 

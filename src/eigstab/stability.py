@@ -8,10 +8,13 @@ V0 = (Q/||Q||_q)^(q-2), which saturate the sharp bound
 
 ``deficit`` measures how far a given V is from saturation;
 ``distance_to_manifold`` measures how far V_- is from the family in the
-branch-appropriate norm, with the scale b eliminated by norm matching and
-only the shift a searched; ``stability_report`` combines the two into the
-empirical stability ratio deficit / (C * distance^2).  All quotients are
-invariant under V -> b^2 V(b x) and translations.
+branch-appropriate norm.  One function, ``_branch_distance``, owns both
+parameters: the scale b by norm matching, in closed form since the unit
+member has norm 1, and the shift a by a ranked lattice scan and a Brent
+refinement.
+``stability_report`` combines the two into the empirical stability ratio
+deficit / (C * distance^2).  All quotients are invariant under
+V -> b^2 V(b x) and translations.
 """
 
 from __future__ import annotations
@@ -38,10 +41,8 @@ from .grid import (
 from .groundstate import (
     Exponents,
     GroundState,
-    _base_profile,
     _family_neg,
     _profile_exponents,
-    optimal_potential,
 )
 from .measure import weighted_norm
 from .spectral import lowest_eigenpair
@@ -107,35 +108,6 @@ def _branch_map(vals, exps: Exponents, power: bool):
     return vals, exps.p
 
 
-def _branch_norm(vneg: GridFunction, exps: Exponents, power: bool) -> float:
-    vals, pnorm = _branch_map(vneg.values, exps, power)
-    return weighted_norm(vals, vneg.grid.quad_weights, pnorm)
-
-
-def _matched_scale(vneg: GridFunction, exps: Exponents, gs: GroundState, power: bool) -> float:
-    """Scale b fixed by norm matching against the unit-scale member.
-
-    power=False matches ||W_-||_p (the low branch); power=True matches
-    ||W_-^(2/(q-2))||_(q/2) (the high branch).  Both reduce to closed-form
-    power laws because the family scales exactly.
-    """
-    base = negative_part(optimal_potential(gs))
-    p, q, d = exps.p, exps.q, exps.d
-    if power:
-        # ||(b^2 V0(b .))^(2/(q-2))||_(q/2) = b^(4/(q-2) - 2d/q) * ref
-        expo = 1.0 / (4.0 / (q - 2.0) - 2.0 * d / q)
-    else:
-        # ||b^2 V0(b .)||_p = b^(2 - d/p) ||V0||_p
-        expo = p / (2.0 * p - d)
-    return (_branch_norm(vneg, exps, power) / _branch_norm(base, exps, power)) ** expo
-
-
-def _distance_objective(vneg_vals, w_vals, weights, exps: Exponents, power: bool, denom: float) -> float:
-    u, pnorm = _branch_map(vneg_vals, exps, power)
-    w, _ = _branch_map(w_vals, exps, power)
-    return weighted_norm(np.abs(u - w), weights, pnorm) / denom
-
-
 def _window_sums(u, lattice, weights, pnorm: float, stride: int) -> np.ndarray:
     """sum_i w_i |u_i - l_(s+i)|^pnorm at every stride-th node shift j, whose
     window starts at s = n - 1 - j.  At pnorm = 2 that is sum w u^2 -
@@ -160,42 +132,44 @@ def _window_sums(u, lattice, weights, pnorm: float, stride: int) -> np.ndarray:
     return sums
 
 
-def _scan_shift(vneg: GridFunction, gs: GroundState, b: float, exps: Exponents, power: bool, denom: float):
-    """Minimize the distance over the shift a; radial grids are centered
-    by construction, so a = 0 there.  On line grids every node shift of W_-
-    is a window of one lattice sample (W_-(x_i - x_j) = b^2 V0_-(b h |i - j|)).
-    Window sums at every SCAN_STRIDE-th node only rank the shifts; Brent's
-    bounded method refines the winner on the exact objective, so the result
-    is an exact evaluation and never above the coarse winner's value.
+def _branch_distance(vneg: GridFunction, exps: Exponents, gs: GroundState, power: bool):
+    """(distance, a, b) in the low or high (power) branch; see distance_to_manifold.
+
+    The branch maps V_- to u = V_-^m in L^r (m = 1, r = p low; m = 2/(q-2),
+    r = q/2 high).  The scale b matches ||W_-^m||_r to ||u||_r in closed form:
+    ||(b^2 V0(b .))^m||_r = b^(2m - d/r) ||V0^m||_r, and ||V0^m||_r = 1
+    because (q-2) p = q.  Radial grids are centered by construction, so
+    a = 0 there.  On line grids every node shift of W_- is a window of one
+    lattice sample (W_-(x_i - x_j) = b^2 V0_-(b h |i - j|)).  Window sums at
+    every SCAN_STRIDE-th node only rank the shifts; Brent's bounded method
+    refines the winner on the exact objective, so the result is an exact
+    evaluation and never above the coarse winner's value.
     """
     from scipy.optimize import minimize_scalar
 
     grid, weights = vneg.grid, vneg.grid.quad_weights
+    u, r = _branch_map(vneg.values, exps, power)
+    denom = weighted_norm(u, weights, r)
+    p, q, d = exps.p, exps.q, exps.d
+    expo = 1.0 / (4.0 / (q - 2.0) - 2.0 * d / q) if power else p / (2.0 * p - d)
+    b = denom**expo
 
     def objective(a):
-        w_vals = _family_neg(gs, grid, b, a)
-        return _distance_objective(vneg.values, w_vals, weights, exps, power, denom)
+        w, _ = _branch_map(_family_neg(gs, grid, b, a), exps, power)
+        return weighted_norm(np.abs(u - w), weights, r) / denom
 
     if grid.kind == "radial":
-        return objective(0.0), 0.0
+        return objective(0.0), 0.0, b
 
     n, h = grid.n, grid.spacing
-    v0 = _base_profile(gs)
-    lattice, _ = _branch_map(b**2 * v0(b * h * np.abs(np.arange(1 - n, n))), exps, power)
-    u, pnorm = _branch_map(vneg.values, exps, power)
-    sums = _window_sums(u, lattice, weights, pnorm, SCAN_STRIDE)
+    lattice, _ = _branch_map(b**2 * gs._v0neg(b * h * np.abs(np.arange(1 - n, n))), exps, power)
+    sums = _window_sums(u, lattice, weights, r, SCAN_STRIDE)
     a0 = float(grid.nodes[SCAN_STRIDE * int(np.argmin(sums))])
     bracket = (a0 - SCAN_STRIDE * h, a0 + SCAN_STRIDE * h)
     res = minimize_scalar(
         objective, bounds=bracket, method="bounded", options={"xatol": SHIFT_XATOL * h}
     )
-    return min((objective(a0), a0), (float(res.fun), float(res.x)))
-
-
-def _branch_distance(vneg: GridFunction, exps: Exponents, gs: GroundState, power: bool):
-    """(distance, a, b) in the low or high (power) branch; see distance_to_manifold."""
-    b = _matched_scale(vneg, exps, gs, power)
-    dist, a = _scan_shift(vneg, gs, b, exps, power, _branch_norm(vneg, exps, power))
+    dist, a = min((objective(a0), a0), (float(res.fun), float(res.x)))
     return dist, a, b
 
 
@@ -276,9 +250,10 @@ def stability_report(V: GridFunction, gamma: float, d: int, gs: GroundState) -> 
         # both sides of the transfer comparison at the p-matched member
         w_vals = _family_neg(gs, V.grid, bp, ap)
         weights = V.grid.quad_weights
-        lp_diff = _distance_objective(vneg.values, w_vals, weights, exps, False, 1.0)
+        lp_diff = weighted_norm(np.abs(vneg.values - w_vals), weights, exps.p)
         trans_lhs = (1.0 / exps.p) * (lp_diff / 2.0) ** (exps.p - 1.0)
-        trans_rhs = _distance_objective(vneg.values, w_vals, weights, exps, True, 1.0)
+        (u, r), (w, _) = (_branch_map(v, exps, True) for v in (vneg.values, w_vals))
+        trans_rhs = weighted_norm(np.abs(u - w), weights, r)
 
     return StabilityReport(
         gamma=gamma,

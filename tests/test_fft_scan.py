@@ -12,10 +12,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from eigstab.grid import GridFunction
 from eigstab.groundstate import Exponents, GroundState, optimal_potential
+from eigstab.measure import weighted_norm
 from eigstab.stability import (
     SCAN_STRIDE,
-    _base_profile,
-    _matched_scale,
+    _branch_distance,
+    _branch_map,
     _window_sums,
     line_sweep_corpus,
     negative_part,
@@ -59,10 +60,10 @@ def test_strided_argmin_matches_brute_force_on_corpus(line_grid, gs_q4_d1, a):
     # the direct sums' winner on every corpus member
     exps = Exponents.from_gamma(1.5, 1)
     n, h, w = line_grid.n, line_grid.spacing, line_grid.quad_weights
-    v0 = _base_profile(gs_q4_d1)
+    v0 = gs_q4_d1._v0neg
     for V in _corpus(line_grid, a):
         vneg = negative_part(V)
-        b = _matched_scale(vneg, exps, gs_q4_d1, False)
+        b = _branch_distance(vneg, exps, gs_q4_d1, False)[2]
         lattice = b**2 * v0(b * h * np.abs(np.arange(1 - n, n)))
         fast = _window_sums(vneg.values, lattice, w, 2.0, SCAN_STRIDE)
         slow = _brute_sums(vneg.values, lattice, w, 2.0, SCAN_STRIDE)
@@ -76,6 +77,30 @@ def test_exact_optimizer_found_off_the_nodes(line_grid, gs_q4_d1, a, b):
     rep = stability_report(V, 1.5, 1, gs_q4_d1)
     assert rep.distance < 1e-6
     assert abs(rep.matched_a - a) < 1e-6
+    assert rep.matched_b == pytest.approx(b, rel=1e-7)
+
+
+@pytest.mark.parametrize("b", [1.0, 1.7])
+def test_exact_optimizer_scale_on_the_high_branch(line_grid, gs_q3_d1, b):
+    # q = 3 (gamma = 5/2, p = 3): b's closed form through the power map
+    V = optimal_potential(gs_q3_d1, b, 0.37, line_grid)
+    rep = stability_report(V, 2.5, 1, gs_q3_d1)
+    assert rep.branch == "high"
+    assert rep.matched_b == pytest.approx(b, rel=1e-7)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["gs_q4_d1", "gs_q4_d1_wide", "gs_q3_d1", "gs_q4_d3", "gs_q103_d3"]
+)
+def test_unit_member_has_unit_branch_norms(request, fixture):
+    # b = ||V_-^m||_r^expo assumes ||V0^m||_r = 1, which (q - 2) p = q makes
+    # exact: ||V0||_p^p = int (Q/||Q||_q)^q and ||V0^(2/(q-2))||_(q/2) = 1
+    gs = request.getfixturevalue(fixture)
+    exps = Exponents.from_q(gs.q, gs.d)
+    v0 = negative_part(optimal_potential(gs)).values
+    for power in (False, True):
+        u, r = _branch_map(v0, exps, power)
+        assert abs(weighted_norm(u, gs.grid.quad_weights, r) - 1.0) <= 1e-15
 
 
 def _fresh(gs):

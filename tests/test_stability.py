@@ -4,6 +4,7 @@ import copy
 
 import numpy as np
 import pytest
+from conftest import solve_quiet
 
 from eigstab.exceptions import DegenerateInputError, InvalidExponentError, PreconditionError
 from eigstab.grid import Grid, GridFunction
@@ -142,19 +143,15 @@ def test_branch_consistency_at_p2(line_grid, gs_q4_d1):
     # gamma = 3/2, d = 1 sits exactly at p = 2 where the power map is the
     # identity; low- and high-branch distances must coincide
     from eigstab.groundstate import Exponents
-    from eigstab.stability import _matched_scale, _scan_shift, negative_part
-    from eigstab.grid import norm_lp
+    from eigstab.stability import _branch_distance, negative_part
 
     x = line_grid.nodes
     V = GridFunction(line_grid, -2.0 / np.cosh(x) ** 2 * (1.0 + 0.15 * np.cos(x)))
     exps = Exponents.from_gamma(1.5, 1)
     vneg = negative_part(V)
-    b_low = _matched_scale(vneg, exps, gs_q4_d1, power=False)
-    b_high = _matched_scale(vneg, exps, gs_q4_d1, power=True)
+    d_low, _, b_low = _branch_distance(vneg, exps, gs_q4_d1, power=False)
+    d_high, _, b_high = _branch_distance(vneg, exps, gs_q4_d1, power=True)
     assert b_low == pytest.approx(b_high, rel=1e-10)
-    den = norm_lp(vneg, 2.0)
-    d_low, _ = _scan_shift(vneg, gs_q4_d1, b_low, exps, power=False, denom=den)
-    d_high, _ = _scan_shift(vneg, gs_q4_d1, b_high, exps, power=True, denom=den)
     assert d_low == pytest.approx(d_high, abs=1e-10)
 
 
@@ -240,28 +237,20 @@ def _translated_corpus_member(grid, index, a):
 
 
 def _dense_minimum(V, gamma, gs, rep):
-    """Exact distance objective at shifts h/50 apart within 8h of rep's a."""
+    """Distance objective, computed here, at shifts h/50 apart within 8h of rep's a."""
     from eigstab.groundstate import Exponents
-    from eigstab.grid import norm_lp
-    from eigstab.stability import _base_profile, _distance_objective, _family_neg
+    from eigstab.measure import weighted_norm
+    from eigstab.stability import _family_neg
 
     exps = Exponents.from_gamma(gamma, 1)
-    grid = V.grid
-    vneg = negative_part(V).values
-    power = exps.p > 2.0
-    if power:
-        two_qm2 = 2.0 / (exps.q - 2.0)
-        denom = norm_lp(GridFunction(grid, vneg**two_qm2), exps.q / 2.0)
-    else:
-        denom = norm_lp(negative_part(V), exps.p)
-    v0 = _base_profile(gs)
+    grid, w = V.grid, V.grid.quad_weights
+    m, r = (2.0 / (exps.q - 2.0), exps.q / 2.0) if exps.p > 2.0 else (1.0, exps.p)
+    u = negative_part(V).values ** m
+    denom = weighted_norm(u, w, r)
     h = grid.spacing
     shifts = rep.matched_a + h * np.arange(-400, 401) / 50.0
     return min(
-        _distance_objective(
-            vneg, _family_neg(gs, grid, rep.matched_b, a, v0), grid.quad_weights,
-            exps, power, denom,
-        )
+        weighted_norm(np.abs(u - _family_neg(gs, grid, rep.matched_b, a) ** m), w, r) / denom
         for a in shifts
     )
 
@@ -291,3 +280,20 @@ def test_line_distance_not_above_dense_minimum_high_branch(line_grid, gs_q3_d1):
     assert rep.distance <= _dense_minimum(V, 2.5, gs_q3_d1, rep) * (1.0 + 1e-9)
     assert rep.matched_a == pytest.approx(0.61, abs=0.1)
     assert rep.trans_lhs <= rep.trans_rhs + 1e-12
+
+
+@pytest.fixture(scope="module")
+def gs_q6_d1():
+    return solve_quiet(6.0, 1, 20.0, 4000)
+
+
+@pytest.mark.parametrize("a, eps", [(0.61, 0.2), (-1.37, 0.1), (0.0, 0.3)])
+def test_line_distance_not_above_dense_minimum_below_p2(line_grid, gs_q6_d1, a, eps):
+    # q = 6 (gamma = 1, p = 3/2): the low branch with blocked window sums and
+    # no power map, the one scan path the FFT tests do not cover
+    x = line_grid.nodes - a
+    V = GridFunction(line_grid, -2.0 / np.cosh(x) ** 2 * (1.0 + eps * np.cos(x)))
+    rep = stability_report(V, 1.0, 1, gs_q6_d1)
+    assert rep.branch == "low" and rep.p == 1.5
+    assert rep.distance <= _dense_minimum(V, 1.0, gs_q6_d1, rep) * (1.0 + 1e-9)
+    assert rep.matched_a == pytest.approx(a, abs=0.1)
