@@ -252,8 +252,8 @@ def stability_report(V: GridFunction, gamma: float, d: int, gs: GroundState) -> 
         weights = V.grid.quad_weights
         lp_diff = weighted_norm(np.abs(vneg.values - w_vals), weights, exps.p)
         trans_lhs = (1.0 / exps.p) * (lp_diff / 2.0) ** (exps.p - 1.0)
-        (u, r), (w, _) = (_branch_map(v, exps, True) for v in (vneg.values, w_vals))
-        trans_rhs = weighted_norm(np.abs(u - w), weights, r)
+        u, r = _branch_map(vneg.values, exps, True)
+        trans_rhs = weighted_norm(np.abs(u - _branch_map(w_vals, exps, True)[0]), weights, r)
 
     return StabilityReport(
         gamma=gamma,
