@@ -56,7 +56,7 @@ class ContractViolation(Exception):
 #: ``argparse.Namespace`` holding all of them
 SETTINGS = {
     "gamma": (float, None), "q": (float, None), "d": (int, 1),
-    "grid_l": (float, 20.0), "grid_n": (int, 4000), "tol": (float, 1e-10),
+    "grid_l": (float, 20.0), "grid_n": (int, 4000),
     "seed": (int, 0), "samples": (int, 1000), "out": (str, None),
     "format": (str, "json"), "potential": (str, None), "p": (float, None),
 }
@@ -92,14 +92,6 @@ def _load_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
-        grid = doc.pop("grid", None)
-        if grid is not None:
-            if not isinstance(grid, dict):
-                raise ConfigError("config key 'grid' must be an object")
-            if "L" in grid:
-                cfg.grid_l = _config_value("grid.L", float, grid["L"])
-            if "n" in grid:
-                cfg.grid_n = _config_value("grid.n", int, grid["n"])
         for key, value in doc.items():
             attr = key.replace("-", "_")
             if attr not in SETTINGS:
@@ -123,8 +115,6 @@ def _load_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError("d must be a positive integer")
     if cfg.grid_l <= 0.0 or cfg.grid_n < 16:
         raise ConfigError("grid needs L > 0 and n >= 16")
-    if cfg.tol <= 0.0:
-        raise ConfigError("tol must be positive")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
     if cfg.samples < 1:
@@ -169,7 +159,7 @@ def _solve(cfg: argparse.Namespace, exps: Exponents):
     grid = _grid(cfg, "radial")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return solve_ground_state(exps.q, cfg.d, grid, tol=cfg.tol)
+        return solve_ground_state(exps.q, cfg.d, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +234,7 @@ def _read_potential(cfg: argparse.Namespace, grid: Grid) -> GridFunction:
 def _cmd_eigen(cfg: argparse.Namespace) -> None:
     grid = _grid(cfg, "line" if cfg.d == 1 else "radial")
     V = _read_potential(cfg, grid)
-    pair = lowest_eigenpair(V, 0, tol=cfg.tol)
+    pair = lowest_eigenpair(V)
     lam = min(0.0, pair.lam)  # the clamp of lambda_of_potential, on the same solve
     _emit(
         cfg,
@@ -329,7 +319,7 @@ def _cmd_convergence(cfg: argparse.Namespace) -> None:
         n = cfg.grid_n * 2**level
         grid = _grid(cfg, "line", n)
         V = GridFunction(grid, -2.0 / np.cosh(grid.nodes) ** 2)
-        lam = lowest_eigenpair(V, 0, tol=cfg.tol).lam
+        lam = lowest_eigenpair(V).lam
         err = abs(lam - (-1.0))
         ratio = None if prev_err is None else prev_err / err
         rows.append({"n": n, "h": grid.spacing, "lambda": lam, "error": err, "ratio": ratio})
@@ -345,18 +335,18 @@ def _cmd_convergence(cfg: argparse.Namespace) -> None:
             )
 
 
-_SOLVE = ("gamma", "q", "d", "grid_l", "grid_n", "tol", "out")
+_SOLVE = ("gamma", "q", "d", "grid_l", "grid_n", "out")
 
 #: subcommand -> (handler, the settings it reads); its parser offers a
 #: flag for each of them and nothing else but --config
 _COMMANDS = {
     "ground-state": (_cmd_ground_state, _SOLVE),
     "constants": (_cmd_constants, _SOLVE),
-    "eigen": (_cmd_eigen, ("d", "grid_l", "grid_n", "tol", "potential", "out")),
+    "eigen": (_cmd_eigen, ("d", "grid_l", "grid_n", "potential", "out")),
     "holder-verify": (_cmd_holder_verify, ("samples", "seed", "p", "out")),
     "hessian": (_cmd_hessian, _SOLVE),
     "stability-sweep": (_cmd_stability_sweep, _SOLVE + ("format",)),
-    "convergence": (_cmd_convergence, ("grid_l", "grid_n", "tol", "format", "out")),
+    "convergence": (_cmd_convergence, ("grid_l", "grid_n", "format", "out")),
 }
 
 

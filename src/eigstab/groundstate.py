@@ -53,7 +53,7 @@ from .grid import (
     symmetric_tridiagonal,
 )
 from .measure import weighted_norm
-from .spectral import _cold_ground_pair, _residual
+from .spectral import _cold_ground_pair, _residual, _tol_eff
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +302,14 @@ def _unit_seed(q: float, d: int):
         n, prev = 2 * n, s
 
 
-def solve_ground_state(q: float, d: int, grid: Grid, tol: float = 1e-10) -> GroundState:
+def solve_ground_state(q: float, d: int, grid: Grid) -> GroundState:
     """Solve the constrained minimization on a radial grid.
 
     The parameter-free equation is solved on a unit-scale grid refined until
     its scale settles (Petviashvili) and rescaled onto ``grid``; Newton on (Q, E) solves the
     profile equation with unit mass there, and a certified ground pair of
-    -Lap - ||Q||_q^(2-q) Q^(q-2) closes the solve, whose residual must be
-    below tol (floored at the grid's rounding level).  docs/derivations.md §3.
+    -Lap - ||Q||_q^(2-q) Q^(q-2) closes the solve, whose residual must pass
+    the eigensolver's gate _tol_eff.  docs/derivations.md §3.
     """
     exps = Exponents.from_q(q, d)
     if grid.kind != "radial" or grid.dim != d:
@@ -356,15 +356,14 @@ def solve_ground_state(q: float, d: int, grid: Grid, tol: float = 1e-10) -> Grou
     # -- closing step: the certified ground pair at the Newton iterate --
     coupling = norm_q ** (2.0 - q)
     diag, off = symmetric_tridiagonal(grid, 0, -coupling * np.abs(psi) ** (q - 2.0))
-    pair = _cold_ground_pair(_Tridiag(diag, off), tol, v)
+    pair = _cold_ground_pair(_Tridiag(diag, off), v)
     psi = np.abs(pair[1]) / sw
     psi /= math.sqrt(w @ psi**2)
     energy = float(pair[0])
     # the weighted L2 norm of -Lap psi - c psi^(q-1) - E psi, in sqrt(w) coordinates
     A = _Tridiag(*symmetric_tridiagonal(grid, 0, -coupling * psi ** (q - 2.0)))
     residual = _residual(A, energy, sw * psi)
-    tol_eff = max(tol, 200.0 * np.finfo(float).eps * 2.0 / grid.spacing**2)
-    if not residual <= tol_eff:
+    if not residual <= _tol_eff(A):
         raise ConvergenceError(
             f"profile solve stalled at residual {residual:.3e}",
             best=GridFunction(grid, psi),

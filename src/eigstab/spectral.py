@@ -59,10 +59,10 @@ def _residual(A: _Tridiag, lam, v) -> float:
     return float(np.sqrt(np.sum((A.matvec(v) - lam * v) ** 2)))
 
 
-def _tol_eff(A: _Tridiag, tol: float) -> float:
-    """The residual gate's target: tol floored at the rounding level
+def _tol_eff(A: _Tridiag) -> float:
+    """The one residual gate: DEFAULT_TOL floored at the rounding level
     50 * eps * ||A||, which large grids cannot get below."""
-    return max(tol, 50.0 * np.finfo(float).eps * A.opnorm)
+    return max(DEFAULT_TOL, 50.0 * np.finfo(float).eps * A.opnorm)
 
 
 def _certified(A: _Tridiag, lam, v, tol_eff) -> bool:
@@ -72,17 +72,17 @@ def _certified(A: _Tridiag, lam, v, tol_eff) -> bool:
     return _residual(A, lam, v) <= tol_eff and dpttrf(A.main - (lam - tol_eff), A.upper)[2] == 0
 
 
-def _cold_ground_pair(A: _Tridiag, tol: float, guess=None):
+def _cold_ground_pair(A: _Tridiag, guess=None):
     """Certified lowest pair (lam, unit vector) of the symmetric tridiagonal
     A by inverse iteration from guess (default: the ones vector), at shifts
     dpttrf certifies below lambda_0 (derivations §10), closed one step past
-    the gate of tol_eff(min(tol, DEFAULT_TOL)); ConvergenceError after
-    INVERSE_CAP, or at once from a zero or non-finite guess.  A poor guess
-    costs steps, never a wrong pair."""
+    the gate _tol_eff(A); ConvergenceError after INVERSE_CAP, or at once
+    from a zero or non-finite guess.  A poor guess costs steps, never a
+    wrong pair."""
     from scipy.linalg.lapack import dpttrf, dpttrs
     if not (np.isfinite(A.main).all() and np.isfinite(A.upper).all()):
         raise ValueError("matrix must not contain infs or NaNs")
-    tol_eff = _tol_eff(A, min(tol, DEFAULT_TOL))
+    tol_eff = _tol_eff(A)
     b = np.abs(A.upper)
     sigma = float(np.min(A.main - np.r_[b, 0.0] - np.r_[0.0, b])) - tol_eff
     d, e, _ = dpttrf(A.main - sigma, A.upper)  # diagonally dominant: succeeds
@@ -110,7 +110,6 @@ def smallest_eigenpairs(
     off,
     k: int = 1,
     rank1=None,
-    tol: float = DEFAULT_TOL,
 ):
     """k smallest eigenpairs of a symmetric tridiagonal (+ rank-one) matrix;
     a k that is not an integer with 1 <= k < n raises ValueError.
@@ -120,8 +119,7 @@ def smallest_eigenpairs(
     None, since ARPACK reports no count.  Shift-invert Lanczos at a shift
     certified below the spectrum, Sherman-Morrison solves for the rank-one
     term (rank1=None reads as rho = 0), then one inverse-iteration polish
-    per pair.  ``tol`` is a residual target, floored at the rounding level
-    50 * eps * ||A||, which is unreachable below for large grids.
+    per pair; every residual must pass the gate _tol_eff(A).
     """
     import scipy.sparse.linalg as spla
     from scipy.linalg.lapack import dstebz
@@ -141,7 +139,7 @@ def smallest_eigenpairs(
     except np.linalg.LinAlgError:
         certified = False
     if not certified:  # else the same margin below a bound from T
-        lam_t = _cold_ground_pair(_Tridiag(A.main, A.upper), tol)[0]
+        lam_t = _cold_ground_pair(_Tridiag(A.main, A.upper))[0]
         sigma += lam_t if rho >= 0.0 else lam_t + rho * float(u @ u)
     lin = spla.LinearOperator((A.n, A.n), matvec=A.matvec, dtype=float)
     opinv = spla.LinearOperator(
@@ -168,7 +166,7 @@ def smallest_eigenpairs(
             eigs[j], vecs[:, j] = step
 
     residuals = np.array([_residual(A, eigs[j], vecs[:, j]) for j in range(k)])
-    tol_eff = _tol_eff(A, tol)
+    tol_eff = _tol_eff(A)
     worst = float(residuals.max())
     if not worst <= tol_eff:
         raise ConvergenceError(
@@ -190,13 +188,11 @@ def rayleigh_quotient(psi: GridFunction, V: GridFunction) -> float:
     return (kinetic + potential) / denom
 
 
-def lowest_eigenpair(
-    V: GridFunction, ell: int = 0, tol: float = DEFAULT_TOL
-) -> EigenPair:
-    """Ground state of -Lap_ell + V on V's grid."""
+def lowest_eigenpair(V: GridFunction) -> EigenPair:
+    """Ground state of -Lap + V on V's grid."""
     grid = V.grid
-    A = _Tridiag(*symmetric_tridiagonal(grid, ell, V.values))
-    lam, v = _cold_ground_pair(A, tol)
+    A = _Tridiag(*symmetric_tridiagonal(grid, 0, V.values))
+    lam, v = _cold_ground_pair(A)
     w = grid.quad_weights
     psi_vals = v / np.sqrt(w)
     # normalize in the quadrature L2 norm and fix the sign
@@ -212,7 +208,7 @@ def lowest_eigenpair(
     )
 
 
-def lambda_of_potential(V: GridFunction, tol: float = DEFAULT_TOL) -> float:
+def lambda_of_potential(V: GridFunction) -> float:
     """min(0, lowest eigenvalue): the eigenvalue functional, clamped to 0
     when the discrete minimum is positive."""
-    return min(0.0, lowest_eigenpair(V, 0, tol).lam)
+    return min(0.0, lowest_eigenpair(V).lam)

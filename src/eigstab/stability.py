@@ -45,7 +45,7 @@ from .groundstate import (
     _profile_exponents,
 )
 from .measure import weighted_norm
-from .spectral import lowest_eigenpair
+from .spectral import lambda_of_potential, lowest_eigenpair
 
 #: distances below this leave empirical_c undefined (division by ~0)
 DISTANCE_FLOOR = 1e-6
@@ -81,7 +81,7 @@ def _attractive_part(V: GridFunction, gamma: float, d: int, gs: GroundState):
 
 def _lambda_ratio(V: GridFunction, vneg: GridFunction, exps: Exponents):
     """(lambda, |lambda| / (int V_-^p)^(1/gamma)) with lambda clamped at 0."""
-    lam = min(0.0, lowest_eigenpair(V, 0).lam)
+    lam = lambda_of_potential(V)
     return lam, abs(lam) / norm_lp(vneg, exps.p) ** (exps.p / exps.gamma)
 
 
@@ -308,7 +308,7 @@ def deficit_decomposition(
     pot = float(w @ (vt * psi.values**2))
     lam = T + pot
     # psi must actually be the ground state of -Lap + Vt
-    ep = lowest_eigenpair(GridFunction(V.grid, vt), 0)
+    ep = lowest_eigenpair(GridFunction(V.grid, vt))
     scale = max(1.0, abs(ep.lam))
     if abs(ep.lam - lam) > RAYLEIGH_RESIDUAL_CAP * scale:
         raise PreconditionError(

@@ -8,14 +8,15 @@ import pytest
 
 from eigstab.cli import _build_parser, main
 
-#: every setting with a value its flag accepts
+#: every setting with a value its flag accepts, and "tol", a setting no
+#: longer, which every subcommand must refuse as a flag
 VALUES = {
     "gamma": "1.5", "q": "4", "d": "1", "grid_l": "20", "grid_n": "1000",
     "tol": "1e-3", "seed": "1", "samples": "10", "out": "x.json",
     "format": "csv", "potential": "x.csv", "p": "3",
 }
 
-_SOLVE = {"gamma", "q", "d", "grid_l", "grid_n", "tol", "out"}
+_SOLVE = {"gamma", "q", "d", "grid_l", "grid_n", "out"}
 
 #: the settings each subcommand's handler reads, written out here so that a
 #: change to the CLI's table shows up as a failing test
@@ -24,8 +25,8 @@ READS = {
     "constants": _SOLVE,
     "hessian": _SOLVE,
     "stability-sweep": _SOLVE | {"format"},
-    "eigen": {"d", "grid_l", "grid_n", "tol", "potential", "out"},
-    "convergence": {"grid_l", "grid_n", "tol", "format", "out"},
+    "eigen": {"d", "grid_l", "grid_n", "potential", "out"},
+    "convergence": {"grid_l", "grid_n", "format", "out"},
     "holder-verify": {"samples", "seed", "p", "out"},
 }
 
@@ -64,7 +65,7 @@ def test_holder_verify_takes_from_a_file_what_it_refuses_as_a_flag(capsys, tmp_p
     assert exc.value.code == 2
     capsys.readouterr()
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"gamma": 1.5, "d": 1, "grid": {"L": 20.0, "n": 1000}}))
+    cfg.write_text(json.dumps({"gamma": 1.5, "d": 1, "grid_l": 20.0, "grid_n": 1000}))
     assert main(args + ["--config", str(cfg)]) == 0
     with_file = capsys.readouterr().out
     assert main(args) == 0

@@ -13,7 +13,7 @@ import eigstab.groundstate as groundstate
 from eigstab import spectral
 from eigstab.exceptions import ConvergenceError
 from eigstab.grid import Grid, _Tridiag, symmetric_tridiagonal
-from eigstab.spectral import DEFAULT_TOL, smallest_eigenpairs
+from eigstab.spectral import smallest_eigenpairs
 
 
 def _radial_well(n=60):
@@ -106,7 +106,7 @@ def sech_well():
 
 
 def _pair_from(diag, off, guess):
-    return spectral._cold_ground_pair(_Tridiag(diag, off), DEFAULT_TOL, guess)
+    return spectral._cold_ground_pair(_Tridiag(diag, off), guess)
 
 
 def test_warm_pair_from_the_ground_vector(sech_well):

@@ -46,7 +46,7 @@ def test_deficit_positive_off_manifold(line_grid, gs_q4_d1):
     assert d > 1e-3
     # oracle: for -u'' - sech^2 the ground level is -s^2 with s(s+1) = 1,
     # i.e. s = (sqrt(5) - 1)/2
-    lam = lowest_eigenpair(V, 0).lam
+    lam = lowest_eigenpair(V).lam
     assert lam == pytest.approx(-(3.0 - np.sqrt(5.0)) / 2.0, abs=1e-5)
 
 
@@ -179,7 +179,7 @@ def test_empirical_c_undefined_at_zero_distance(gs_q4_d1):
 
 def test_decomposition_identity(line_grid, gs_q4_d1):
     V = _sech_well(line_grid, depth=1.0)
-    psi = lowest_eigenpair(V, 0).psi
+    psi = lowest_eigenpair(V).psi
     e_part, h_part = deficit_decomposition(V, psi, 1.5, 1, gs_q4_d1)
     assert e_part >= -1e-8
     assert h_part >= -1e-8
@@ -193,7 +193,7 @@ def test_decomposition_rejects_wrong_state(line_grid, gs_q4_d1):
     vals /= np.sqrt(w @ vals**2)
     with pytest.raises(PreconditionError):
         deficit_decomposition(V, GridFunction(line_grid, vals), 1.5, 1, gs_q4_d1)
-    psi = lowest_eigenpair(V, 0).psi
+    psi = lowest_eigenpair(V).psi
     with pytest.raises(PreconditionError):
         deficit_decomposition(V, 2.0 * psi, 1.5, 1, gs_q4_d1)
 

@@ -31,8 +31,7 @@ from pathlib import Path
 import numpy as np
 
 #: the README commands, with ``--out`` dropped and ``{well}`` standing for a
-#: -2 sech^2 potential sampled at 4001 points on [-20, 20], solved once more
-#: at a loose --tol, which must print the same lambda; the sweep also
+#: -2 sech^2 potential sampled at 4001 points on [-20, 20]; the sweep also
 #: runs once in its default JSON format, the summary path, and once at
 #: gamma = 2.5 (p = 3), the high branch, whose line scans take the blocked
 #: (non-FFT) window sums; the last sweep passes --p, a flag the sweep does
@@ -42,7 +41,6 @@ COMMANDS = (
     "constants --gamma 1.5 --d 1",
     "ground-state --q 4 --d 1",
     "eigen --potential {well} --grid-l 20 --grid-n 4000",
-    "eigen --potential {well} --grid-l 20 --grid-n 4000 --tol 1e-4",
     "hessian --q 4 --d 1",
     "hessian --q 4 --d 3 --grid-l 1500 --grid-n 6000",
     "stability-sweep --gamma 1.5 --d 1",
