@@ -249,6 +249,9 @@ def test_eigen_invalid_grid_flags(capsys, tmp_path, flags):
         (("constants", "--q", "nan"), {}),
         (("holder-verify", "--p", "nan"), {}),
         (("holder-verify", "--p", "inf"), {}),
+        (("constants", "--gamma", "1.5", "--grid-l", "nan"), {}),
+        (("constants", "--gamma", "1.5", "--grid-l", "inf"), {}),
+        (("constants", "--gamma", "1.5"), {"grid_l": float("inf")}),
         (("constants",), {"gamma": float("nan")}),
     ],
 )
