@@ -263,7 +263,7 @@ class _Tridiag:
         out[1:] += self.upper * v[:-1]
         if self.rank1 is not None:
             rho, u = self.rank1
-            out += rho * (u @ v) * u
+            out += rho * np.sum(u * v) * u
         return out
 
     def solve_shifted(self, sigma, rhs):
@@ -287,7 +287,7 @@ class _Tridiag:
             if self.rank1 is not None:
                 rho, u = self.rank1
                 z = dgttrs(*lu, u)[0]
-                sm = (z, 1.0 + rho * (u @ z))
+                sm = (z, 1.0 + rho * np.sum(u * z))
             self._shift = (sigma, lu, sm)
         _, lu, sm = self._shift
         y = dgttrs(*lu, rhs)[0]
@@ -295,7 +295,7 @@ class _Tridiag:
             return y
         rho, u = self.rank1
         z, denom = sm
-        return y - (rho * (u @ y) / denom) * z
+        return y - (rho * np.sum(u * y) / denom) * z
 
 
 def laplacian_apply(f: GridFunction, ell: int = 0) -> GridFunction:

@@ -28,17 +28,15 @@ from .grid import (
     h1_distance,
     norm_l2,
     radial_derivative,
+    symmetric_tridiagonal,
 )
 from .groundstate import GroundState, _second_variation, gns_energy
-from .spectral import smallest_eigenpairs
+from .spectral import _tol_eff, smallest_eigenpairs
 
 #: near-zero eigenvalue classification, relative to the physical scale
 #: max |Veff| of the channel (not the grid-dependent operator norm, which
 #: would drown the spectral gap for fine grids)
 KERNEL_TOL_FACTOR = 1e-4
-
-#: ground states sloppier than this poison the kernel detection
-EL_RESIDUAL_CAP = 1e-8
 
 #: lowest eigenpairs computed per channel
 CHANNEL_PAIRS = 5
@@ -73,10 +71,12 @@ class HessianChannel:
 
 def build_channel(gs: GroundState, ell: int) -> HessianChannel:
     """Assemble channel ell of H at gs and compute its CHANNEL_PAIRS lowest
-    eigenpairs."""
-    if gs.el_residual > EL_RESIDUAL_CAP:
+    eigenpairs; gs must pass solve_ground_state's gate, _tol_eff of -Lap - ||Q||_q^(2-q) Q^(q-2)."""
+    profile = -gs.norm_q ** (2.0 - gs.q) * np.abs(gs.Q.values) ** (gs.q - 2.0)
+    tol_eff = _tol_eff(_Tridiag(*symmetric_tridiagonal(gs.grid, 0, profile)))
+    if not gs.el_residual <= tol_eff:
         raise PreconditionError(
-            f"profile residual {gs.el_residual:.3e} exceeds {EL_RESIDUAL_CAP:g}; "
+            f"profile residual {gs.el_residual:.3e} exceeds {tol_eff:.3e}; "
             "re-solve on a coarser or cleaner grid"
         )
     diag, off, rank1, Veff = _second_variation(gs.grid, gs.q, gs.Q.values, gs.norm_q, gs.E, ell)

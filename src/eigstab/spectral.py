@@ -27,6 +27,7 @@ from .grid import (
 ITERATION_CAP = 10_000
 DEFAULT_TOL = 1e-10
 INVERSE_CAP = 200  # safeguarded inverse-iteration steps per cold ground pair
+LANCZOS_TOL = 1e-6  # ARPACK's relative stop, from which the polish reaches the gate
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,23 @@ def _cold_ground_pair(A: _Tridiag, guess=None):
     raise ConvergenceError(f"ground pair not certified by inverse iteration (cap {INVERSE_CAP})")
 
 
+def _count_below(A: _Tridiag, mu) -> int:
+    """Eigenvalues of A = T + rho u u^T at or below mu by inertia, or -1 when
+    T - mu is singular: the dstebz Sturm count of T, plus 1 if
+    1 + rho u.(T - mu)^(-1) u has the sign of rho, minus 1 if rho > 0
+    (Haynsworth; derivations §10)."""
+    from scipy.linalg.lapack import dstebz
+    m = int(dstebz(A.main, A.upper, 1, -np.inf, mu, 0, 0, np.inf, "E")[0])
+    rho, u = A.rank1 or (0.0, None)
+    if rho == 0.0:
+        return m
+    try:
+        t = 1.0 + rho * float(np.sum(u * _Tridiag(A.main, A.upper).solve_shifted(mu, u)))
+    except np.linalg.LinAlgError:
+        return -1
+    return m + int(np.sign(t) == np.sign(rho)) - int(rho > 0.0)
+
+
 def smallest_eigenpairs(
     diag,
     off,
@@ -114,33 +132,24 @@ def smallest_eigenpairs(
     """k smallest eigenpairs of a symmetric tridiagonal (+ rank-one) matrix;
     a k that is not an integer with 1 <= k < n raises ValueError.
 
-    Returns (eigs, vecs, residuals, iterations) with vecs of shape (n, k),
-    orthonormal columns, eigenvalues in ascending order; iterations is
-    None, since ARPACK reports no count.  Shift-invert Lanczos at a shift
-    certified below the spectrum, Sherman-Morrison solves for the rank-one
-    term (rank1=None reads as rho = 0), then one inverse-iteration polish
-    per pair; every residual must pass the gate _tol_eff(A).
+    Returns (eigs, vecs, residuals, iterations), vecs (n, k) with
+    orthonormal columns, eigs ascending, iterations None (ARPACK reports no
+    count).  Shift-invert Lanczos to LANCZOS_TOL at a shift certified below
+    the spectrum, Sherman-Morrison solves for the rank-one term (rank1=None
+    reads as rho = 0), one inverse-iteration polish per pair; then every
+    residual must pass _tol_eff(A), |V^T V - I| <= 1e-8, and exactly k
+    eigenvalues lie at or below lambda_k + _tol_eff(A), else ConvergenceError.
     """
     import scipy.sparse.linalg as spla
-    from scipy.linalg.lapack import dstebz
     A = _Tridiag(diag, off, rank1=rank1)
     if not isinstance(k, int | np.integer) or not 1 <= k < A.n:
         raise ValueError(f"k must be an integer with 1 <= k < n = {A.n}, got {k!r}")
-    rho, u = (0.0, None) if A.rank1 is None else A.rank1
-    # sigma just below the kernel at 0 is below the spectrum if T has m = 0
-    # eigenvalues <= sigma and rho >= 0, or m = 1, rho > 0 and
-    # rho u.(A - sigma)^-1 u > 1 (derivations §10)
+    # sigma just below the kernel at 0 is below the spectrum if A has no
+    # eigenvalue at or below it; else the same margin below a bound from T
     sigma = -max(1e-8 * A.opnorm, 1e-8)
-    m = dstebz(A.main, A.upper, 1, -np.inf, sigma, 0, 0, np.inf, "E")[0]
-    try:
-        certified = (m == 0 and rho >= 0.0) or (
-            m == 1 and rho > 0.0 and rho * (u @ A.solve_shifted(sigma, u)) > 1.0
-        )
-    except np.linalg.LinAlgError:
-        certified = False
-    if not certified:  # else the same margin below a bound from T
-        lam_t = _cold_ground_pair(_Tridiag(A.main, A.upper))[0]
-        sigma += lam_t if rho >= 0.0 else lam_t + rho * float(u @ u)
+    if _count_below(A, sigma) != 0:
+        rho, u = A.rank1 or (0.0, 0.0)
+        sigma += _cold_ground_pair(_Tridiag(A.main, A.upper))[0] + min(rho, 0.0) * np.sum(u * u)
     lin = spla.LinearOperator((A.n, A.n), matvec=A.matvec, dtype=float)
     opinv = spla.LinearOperator(
         (A.n, A.n), matvec=lambda b: A.solve_shifted(sigma, b), dtype=float
@@ -154,27 +163,27 @@ def smallest_eigenpairs(
         which="LM",
         v0=v0,
         maxiter=ITERATION_CAP,
-        tol=0,
+        tol=LANCZOS_TOL,
     )
     order = np.argsort(eigs)
     eigs, vecs = eigs[order].copy(), vecs[:, order].copy()
-    # one inverse-iteration polish per pair: ARPACK residuals in
-    # shift-invert mode sit a little above rounding level
+    # one inverse-iteration polish per pair, at its Ritz value
     for j in range(k):
         step = _inverse_step(A, lambda b: A.solve_shifted(eigs[j], b), vecs[:, j])
         if step is not None:
             eigs[j], vecs[:, j] = step
 
     residuals = np.array([_residual(A, eigs[j], vecs[:, j]) for j in range(k)])
-    tol_eff = _tol_eff(A)
-    worst = float(residuals.max())
+    tol_eff, worst = _tol_eff(A), float(residuals.max())
     if not worst <= tol_eff:
-        raise ConvergenceError(
-            f"eigensolve residual {worst:.3e} exceeds target {tol_eff:.3e}",
-            best=vecs,
-            residual=worst,
-        )
-    return np.asarray(eigs, dtype=float), vecs, residuals, None
+        fault = f"residual {worst:.3e} exceeds target {tol_eff:.3e}"
+    elif not np.abs(vecs.T @ vecs - np.eye(k)).max() <= 1e-8:
+        fault = "vectors not orthonormal"
+    elif (below := _count_below(A, eigs.max() + tol_eff)) != k:
+        fault = f"pairs not the {k} lowest: {below} eigenvalues up to lambda_k + {tol_eff:.3e}"
+    else:
+        return np.asarray(eigs, dtype=float), vecs, residuals, None
+    raise ConvergenceError(f"eigensolve {fault}", best=vecs, residual=worst)
 
 
 def rayleigh_quotient(psi: GridFunction, V: GridFunction) -> float:

@@ -2,13 +2,14 @@
 eigenpair and the profile solve alike; no caller can loosen it
 (docs/derivations.md §10)."""
 
+import dataclasses
 import inspect
 import warnings
 
 import pytest
 
-from eigstab import groundstate, spectral
-from eigstab.exceptions import ConvergenceError
+from eigstab import groundstate, hessian, spectral
+from eigstab.exceptions import ConvergenceError, PreconditionError
 from eigstab.grid import Grid
 
 
@@ -28,6 +29,20 @@ def test_profile_gate_refuses_a_residual_above_the_floor(monkeypatch):
 
 def test_profile_gate_accepts_a_residual_below_the_floor(monkeypatch):
     assert _solve_with_residual(monkeypatch, 1.5e-9).el_residual == 1.5e-9
+
+
+def test_kernel_report_takes_the_profile_the_solver_certified():
+    # at h = 1/800 the gate is 50 eps ||A|| = 2.84e-8; a cap of 1e-8 in
+    # build_channel refused 2e-8, a residual the solver lets through
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        gs = groundstate.solve_ground_state(4.0, 1, Grid.radial(1, 20.0, 16000))
+    report = hessian.kernel_report(dataclasses.replace(gs, el_residual=2e-8))
+    assert report.kernel_dim == 2
+    assert report.anomalies == []
+    for residual in (3e-8, float("nan")):
+        with pytest.raises(PreconditionError, match="profile residual"):
+            hessian.build_channel(dataclasses.replace(gs, el_residual=residual), 0)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from eigstab import groundstate
-from eigstab.grid import Grid, _Tridiag
+from eigstab.grid import Grid, _Tridiag, symmetric_tridiagonal
+from eigstab.spectral import _tol_eff
 
 #: (q, d, extent, n) and the session fixture solved on that grid
 CASES = {
@@ -37,9 +38,10 @@ def test_a_perturbed_seed_leaves_the_constant(request, monkeypatch, name, eps):
     want = request.getfixturevalue(name)
     gs = _solve(*CASES[name])
     assert abs(gs.C_prime - want.C_prime) <= 1e-10 * want.C_prime
-    # the SCF gate of solve_ground_state at its default tol
-    tol_eff = max(1e-10, 200.0 * np.finfo(float).eps * 2.0 / gs.grid.spacing**2)
-    assert gs.el_residual <= tol_eff
+    # the gate of solve_ground_state: _tol_eff of the profile operator
+    # -Lap - ||Q||_q^(2-q) Q^(q-2), 1.78e-9 at h = 0.005
+    potential = -gs.norm_q ** (2.0 - gs.q) * gs.Q.values ** (gs.q - 2.0)
+    assert gs.el_residual <= _tol_eff(_Tridiag(*symmetric_tridiagonal(gs.grid, 0, potential)))
 
 
 def test_the_seed_is_not_over_solved(monkeypatch):
