@@ -5,9 +5,10 @@ used by the linearization module).  Its ground pair comes from inverse
 iteration at shifts an LDL^T factorization certifies below the spectrum,
 which clusters of nearly degenerate low eigenvalues cannot fool.  More
 pairs, with or without a rank-one term, come from shift-invert Lanczos at
-a shift certified below the spectrum (a Sturm count, the determinant
-lemma, or that ground pair), with tridiagonal LU factored once per shift
-and Sherman-Morrison solves.  Everything is deterministic for fixed inputs.
+a shift an inertia count (or that ground pair) certifies below the
+spectrum, polished and certified the k lowest by one more count, with
+tridiagonal LU factored once per shift and Sherman-Morrison solves.
+Everything is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def smallest_eigenpairs(
     )
     order = np.argsort(eigs)
     eigs, vecs = eigs[order].copy(), vecs[:, order].copy()
-    # one inverse-iteration polish per pair, at its Ritz value
+    # one inverse-iteration step at each Ritz value finishes the loose pair
     for j in range(k):
         step = _inverse_step(A, lambda b: A.solve_shifted(eigs[j], b), vecs[:, j])
         if step is not None:

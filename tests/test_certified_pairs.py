@@ -51,21 +51,13 @@ def _drop_lowest(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", dropping)
 
 
-@pytest.mark.parametrize("ell", [0, 1])
+@pytest.mark.parametrize("ell", [0, 1], ids=["rank-one", "tridiagonal"])
 def test_a_missed_lowest_pair_is_refused(monkeypatch, gs_q4_d1, ell):
     # pairs 2..k+1 are eigenpairs that pass the residual gate and are
     # orthonormal: only the count finds the one below them
     _drop_lowest(monkeypatch)
     with pytest.raises(ConvergenceError, match="not the 5 lowest"):
         hessian.build_channel(gs_q4_d1, ell)
-
-
-def test_a_missed_lowest_pair_of_a_tridiagonal_is_refused(monkeypatch):
-    g = Grid.line(20.0, 400)
-    diag, off = symmetric_tridiagonal(g, 0, -6.0 / np.cosh(g.nodes) ** 2)
-    _drop_lowest(monkeypatch)
-    with pytest.raises(ConvergenceError, match="not the 3 lowest"):
-        spectral.smallest_eigenpairs(diag, off, 3)
 
 
 def test_a_repeated_pair_is_refused(monkeypatch):
