@@ -195,7 +195,12 @@ def duality_map_rows(vals, weights, p: float):
     row is."""
     if not np.isfinite(p) or p <= 1.0:
         raise InvalidExponentError(f"duality_map needs finite p > 1, got {p}")
-    nrm = lp_norm_rows(vals, weights, p)
+    return _dual_rows(vals, weights, p, lp_norm_rows(vals, weights, p))
+
+
+def _dual_rows(vals, weights, p: float, nrm):
+    """:func:`duality_map_rows` for a finite p > 1, given each row's L^p
+    norm ``nrm``, so that a caller holding the norms computes them once."""
     if (nrm == 0.0).any():
         raise DegenerateInputError("duality_map of the zero function")
     a = np.abs(vals)

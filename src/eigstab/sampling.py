@@ -21,9 +21,14 @@ WINDOW = 5
 
 def smooth_rows(raw):
     """Moving average of width WINDOW along the last axis, keeping the
-    n - WINDOW + 1 full windows (``np.convolve`` mode "valid", bit for bit)."""
-    view = np.lib.stride_tricks.sliding_window_view(raw, WINDOW, axis=-1)
-    return view @ (np.ones(WINDOW) / WINDOW)
+    n - WINDOW + 1 full windows (``np.convolve`` mode "valid", bit for bit:
+    each window's products are added to 0 in order, as its dot product
+    adds them)."""
+    n = raw.shape[-1] - WINDOW + 1
+    out = np.zeros(raw.shape[:-1] + (n,))
+    for i in range(WINDOW):
+        out += raw[..., i:i + n] * (1.0 / WINDOW)
+    return out
 
 
 def smoothed_noise(rng: np.random.Generator, n: int, complex_values: bool = False) -> np.ndarray:

@@ -131,7 +131,7 @@ def smallest_eigenpairs(
     rank1=None,
 ):
     """k smallest eigenpairs of a symmetric tridiagonal (+ rank-one) matrix;
-    a k that is not an integer with 1 <= k < n raises ValueError.
+    n < 3, or a k that is not an integer with 1 <= k < n, raises ValueError.
 
     Returns (eigs, vecs, residuals, iterations), vecs (n, k) with
     orthonormal columns, eigs ascending, iterations None (ARPACK reports no
@@ -143,6 +143,8 @@ def smallest_eigenpairs(
     """
     import scipy.sparse.linalg as spla
     A = _Tridiag(diag, off, rank1=rank1)
+    if A.n < 3:  # scipy's dgttrf wrapper refuses n = 2
+        raise ValueError(f"n must be at least 3, got {A.n}")
     if not isinstance(k, int | np.integer) or not 1 <= k < A.n:
         raise ValueError(f"k must be an integer with 1 <= k < n = {A.n}, got {k!r}")
     # sigma just below the kernel at 0 is below the spectrum if A has no

@@ -484,3 +484,22 @@ def test_laplacian_out_of_range_is_config_error(capsys, flags):
     assert out == ""
     assert err.startswith("error: invalid grid:")
     assert err.count("\n") == 1
+
+
+# seed 7 has many violations at -0.03 and one, near the end, at -0.01
+@pytest.mark.parametrize("tol", [-0.03, -0.01])
+def test_holder_verify_first_violation_spans_chunks(capsys, monkeypatch, tol):
+    import eigstab.holder
+
+    k = len(eigstab.holder.FUZZ_EXPONENTS)
+    chunk = eigstab.holder.FUZZ_CHUNK // k * k
+    samples, seed = 2 * chunk + chunk // 2 + 1, 7  # three chunks, the last one partial
+    count, first = _per_sample_violations(samples, seed, tol)
+    assert first is not None
+    monkeypatch.setattr(eigstab.holder, "FUZZ_TOL", tol)
+    code, out, err = run_cli(
+        capsys, "holder-verify", "--samples", str(samples), "--seed", str(seed)
+    )
+    assert code == 1
+    assert json.loads(out)["violations"] == count
+    assert err == f"contract violation: {first}\n"

@@ -1,5 +1,5 @@
 """Gates that the fixtures never reach: the profile's residual gate, the
-kernel report's anomaly path through the CLI, and the range of k in
+kernel report's anomaly path through the CLI, and the range of k and n in
 smallest_eigenpairs."""
 
 import json
@@ -64,3 +64,26 @@ def test_smallest_eigenpairs_refuses_k_out_of_range(monkeypatch, k):
     n = 6
     with pytest.raises(ValueError, match="1 <= k < n"):
         smallest_eigenpairs(np.full(n, 2.0), np.full(n - 1, -1.0), k)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_smallest_eigenpairs_refuses_n_below_3(monkeypatch, n):
+    import scipy.linalg.lapack as lapack
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("n must be checked before any factorization")
+
+    monkeypatch.setattr(lapack, "dgttrf", refuse)
+    with pytest.raises(ValueError, match="n must be at least 3, got " + str(n)):
+        smallest_eigenpairs(np.full(n, 2.0), np.full(n - 1, -1.0), 1)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("rho", [0.0, -0.7], ids=["tridiagonal", "rank-one"])
+def test_smallest_eigenpairs_at_n_3(k, rho):
+    # the smallest size the solve takes: every pair against dense eigh
+    diag, off, u = np.array([1.0, 2.0, 3.0]), np.array([-0.3, -0.3]), np.array([0.6, 0.0, 0.8])
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) + rho * np.outer(u, u)
+    eigs, vecs, _, _ = smallest_eigenpairs(diag, off, k, rank1=(rho, u))
+    assert eigs == pytest.approx(np.linalg.eigvalsh(dense)[:k], abs=1e-12)
+    assert np.abs(dense @ vecs - vecs * eigs).max() < 1e-12

@@ -37,8 +37,10 @@ import numpy as np
 #: runs once in its default JSON format, the summary path, and once at
 #: gamma = 2.5 (p = 3), the high branch, whose line scans take the blocked
 #: (non-FFT) window sums; the last sweep passes --p, a flag the sweep does
-#: not read, which is refused with exit 2; the last constants run is on a
-#: default grid that truncates the profile, which is refused with exit 1
+#: not read, which is refused with exit 2; each holder-verify run spans
+#: more than one of the fuzzer's chunks, 1003 samples end in a partial chunk
+#: and --p 3 checks one exponent; the last constants run is on a default
+#: grid that truncates the profile, which is refused with exit 1
 COMMANDS = (
     "constants --gamma 1.5 --d 1",
     "ground-state --q 4 --d 1",
@@ -54,6 +56,8 @@ COMMANDS = (
     "convergence",
     "convergence --format csv",
     "holder-verify --samples 300 --seed 0",
+    "holder-verify --samples 1003 --seed 4",
+    "holder-verify --samples 600 --seed 1 --p 3",
     "constants --gamma 1 --d 3",
 )
 
