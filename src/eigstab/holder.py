@@ -338,7 +338,8 @@ def _fuzz_group(raw, p: float, weights):
     The kernels of :func:`holder_rows` and :func:`duality_continuity_rows`
     share ||f||_p and D_p(f), so each is computed once.  The draws are
     smoothed and normalized in three parts, each just before the checks
-    that read it, and every array is dropped once its checks are done.
+    that read it, and each array is dropped once no later check reads it:
+    the wider the group, the more memory each one holds.
     """
     tol = FUZZ_TOL
     pc = conjugate_exponent(p)
@@ -368,7 +369,6 @@ def _fuzz_group(raw, p: float, weights):
     rows = smooth_rows(raw[:, 6:9])
     psi = unit_rows(rows[:, 0] + 1j * rows[:, 1], weights, q)
     U = unit_rows(np.abs(rows[:, 2]), weights, p)
-    del rows
     B, H = remainder_rows(psi, U, weights, q)
 
     def over(label, lhs, rhs):

@@ -13,13 +13,15 @@ from eigstab import holder
 PEAK_BOUND = 1.75 * 2**20
 
 
-@pytest.mark.parametrize("tol", [holder.FUZZ_TOL, -0.03], ids=["default", "violating"])
+# at -0.1, seed 2's first violation is sample 1 (p = 2.5), ahead of the
+# first one of its chunk's p = 2 group, sample 5
+@pytest.mark.parametrize("tol", [holder.FUZZ_TOL, -0.1], ids=["default", "violating"])
 def test_report_does_not_depend_on_the_chunk(monkeypatch, tol):
     monkeypatch.setattr(holder, "FUZZ_TOL", tol)
     reports = {}
     for chunk in (5, 100, holder.FUZZ_CHUNK, 1000):
         monkeypatch.setattr(holder, "FUZZ_CHUNK", chunk)
-        reports[chunk] = holder.fuzz_inequalities(1003, 4)
+        reports[chunk] = holder.fuzz_inequalities(1234, 2)  # a partial last chunk at each size
     assert len(set(reports.values())) == 1, reports
     assert (reports[5].violations > 0) == (tol < 0.0)
 
