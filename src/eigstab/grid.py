@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import UnsupportedChannelError
-from .measure import MeasFunction, WeightedMeasure, _check_same_measure, lp_norm
+from .measure import MeasFunction, WeightedMeasure, _check_same_measure, _dot, lp_norm
 
 
 def exact(value):
@@ -177,16 +177,16 @@ class GridFunction(MeasFunction):
 
 def integrate(f: GridFunction) -> float:
     """Quadrature sum; equals the R^d integral up to O(h^2)."""
-    return float(f.grid.quad_weights @ f.values)
+    return float(_dot(f.grid.quad_weights, f.values))
 
 
 def inner(f: GridFunction, g: GridFunction) -> float:
     _check_same_measure(f, g)
-    return float(f.grid.quad_weights @ (f.values * g.values))
+    return float(_dot(f.grid.quad_weights, f.values * g.values))
 
 
 def norm_l2(f: GridFunction) -> float:
-    return float(np.sqrt(f.grid.quad_weights @ f.values**2))
+    return float(np.sqrt(_dot(f.grid.quad_weights, f.values**2)))
 
 
 norm_lp = lp_norm  # a grid's L^p norm is its measure's
@@ -254,7 +254,7 @@ class _Tridiag:
         top = float(bound.max())
         if self.rank1 is not None:
             rho, u = self.rank1
-            top += abs(rho) * float(u @ u)
+            top += abs(rho) * float(_dot(u, u))
         return top
 
     def matvec(self, v):
@@ -263,7 +263,7 @@ class _Tridiag:
         out[1:] += self.upper * v[:-1]
         if self.rank1 is not None:
             rho, u = self.rank1
-            out += rho * np.sum(u * v) * u
+            out += rho * _dot(u, v) * u
         return out
 
     def solve_shifted(self, sigma, rhs):
@@ -287,7 +287,7 @@ class _Tridiag:
             if self.rank1 is not None:
                 rho, u = self.rank1
                 z = dgttrs(*lu, u)[0]
-                sm = (z, 1.0 + rho * np.sum(u * z))
+                sm = (z, 1.0 + rho * _dot(u, z))
             self._shift = (sigma, lu, sm)
         _, lu, sm = self._shift
         y = dgttrs(*lu, rhs)[0]
@@ -295,7 +295,7 @@ class _Tridiag:
             return y
         rho, u = self.rank1
         z, denom = sm
-        return y - (rho * np.sum(u * y) / denom) * z
+        return y - (rho * _dot(u, y) / denom) * z
 
 
 def laplacian_apply(f: GridFunction, ell: int = 0) -> GridFunction:
@@ -319,11 +319,11 @@ def gradient_squared_integral(f: GridFunction) -> float:
     v = f.values
     d = np.diff(v) / h
     if grid.kind == "line":
-        inner_sum = np.sum(d**2) * h
+        inner_sum = _dot(d, d) * h
         inner_sum += (v[0] / h) ** 2 * h + (v[-1] / h) ** 2 * h
         return float(inner_sum)
     sigma = surface_area(grid.dim)
-    total = np.sum(e[1:-1] * d**2) * h
+    total = _dot(e[1:-1], d**2) * h
     total += e[-1] * (v[-1] / h) ** 2 * h  # Dirichlet at r = L
     return float(sigma * total)
 

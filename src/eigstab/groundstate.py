@@ -52,7 +52,7 @@ from .grid import (
     norm_lp,
     symmetric_tridiagonal,
 )
-from .measure import weighted_norm
+from .measure import _dot, weighted_norm
 from .spectral import _cold_ground_pair, _residual, _tol_eff
 
 
@@ -266,8 +266,8 @@ def _petviashvili(grid: Grid, q: float) -> np.ndarray:
         rhs = sw * (v / sw) ** (q - 1.0)  # sqrt(w) u^(q-1), so v.rhs = sum w u^q
         mv = A.matvec(v)
         mv += v
-        num = float(v @ mv)
-        den = float(v @ rhs)
+        num = float(_dot(v, mv))
+        den = float(_dot(v, rhs))
         if den <= 0.0 or not np.isfinite(den):
             raise ConvergenceError("profile iteration degenerated")
         gamma = num / den
@@ -295,7 +295,7 @@ def _unit_seed(q: float, d: int):
     while True:
         unit = Grid.radial(d, extent, n)
         u = _petviashvili(unit, q)
-        s = float(unit.quad_weights @ u**q) ** (-(q - 2.0) / (2.0 * q - d * (q - 2.0)))
+        s = float(_dot(unit.quad_weights, u**q)) ** (-(q - 2.0) / (2.0 * q - d * (q - 2.0)))
         change = math.inf if prev is None else abs(1.0 - (prev / s) ** 2)
         if change <= SEED_SETTLE or 2 * n > SEED_N_CAP:
             return unit, u, s, change
@@ -322,7 +322,7 @@ def solve_ground_state(q: float, d: int, grid: Grid) -> GroundState:
     # up to normalization, where s^2 = |E| = mq^(-2(q-2)/(2q - d(q-2)))
     unit, u, s, change = _unit_seed(q, d)
     psi = np.interp(s * grid.nodes, unit.nodes, u, right=0.0)
-    nrm = math.sqrt(w @ psi**2)
+    nrm = math.sqrt(_dot(w, psi**2))
     if nrm == 0.0 or not np.isfinite(nrm):
         raise ConvergenceError("profile initialization collapsed")
     v = sw * psi / nrm
@@ -342,14 +342,16 @@ def solve_ground_state(q: float, d: int, grid: Grid) -> GroundState:
         try:  # a step may overflow, be non-finite or meet a singular T
             diag, off, (rho, u), _ = _second_variation(grid, q, psi, norm_q, energy)
             T = _Tridiag(diag, off)
-            res = T.matvec(v) + rho * (u @ v) * u
+            res = T.matvec(v) + rho * _dot(u, v) * u
             a, b, z = (T.solve_shifted(0.0, x) for x in (-res, u, v))
-            border = [[1.0 + rho * (u @ b), -(u @ z)], [-rho * (v @ b), v @ z]]
-            alpha, d_energy = np.linalg.solve(border, [u @ a, (1.0 - v @ v) / 2.0 - v @ a])
+            border = [[1.0 + rho * _dot(u, b), -_dot(u, z)], [-rho * _dot(v, b), _dot(v, z)]]
+            alpha, d_energy = np.linalg.solve(
+                border, [_dot(u, a), (1.0 - _dot(v, v)) / 2.0 - _dot(v, a)]
+            )
         except (ValueError, OverflowError, np.linalg.LinAlgError) as exc:
             raise ConvergenceError(f"profile Newton step failed: {exc}") from exc
         dv = a - rho * alpha * b + d_energy * z
-        step = np.linalg.norm(dv)
+        step = math.sqrt(_dot(dv, dv))
         v = v + dv
         energy += d_energy
 
@@ -357,8 +359,7 @@ def solve_ground_state(q: float, d: int, grid: Grid) -> GroundState:
     coupling = norm_q ** (2.0 - q)
     diag, off = symmetric_tridiagonal(grid, 0, -coupling * np.abs(psi) ** (q - 2.0))
     pair = _cold_ground_pair(_Tridiag(diag, off), v)
-    psi = np.abs(pair[1]) / sw
-    psi /= math.sqrt(w @ psi**2)
+    psi = np.abs(pair[1]) / sw  # unit in the quadrature L2 norm, as pair[1] is
     energy = float(pair[0])
     # the weighted L2 norm of -Lap psi - c psi^(q-1) - E psi, in sqrt(w) coordinates
     A = _Tridiag(*symmetric_tridiagonal(grid, 0, -coupling * psi ** (q - 2.0)))

@@ -31,6 +31,7 @@ from .grid import (
     symmetric_tridiagonal,
 )
 from .groundstate import GroundState, _second_variation, gns_energy
+from .measure import _dot
 from .spectral import _tol_eff, smallest_eigenpairs
 
 #: near-zero eigenvalue classification, relative to the physical scale
@@ -66,7 +67,7 @@ class HessianChannel:
     def quadratic_form(self, f: GridFunction) -> float:
         w = f.grid.quad_weights
         v = np.sqrt(w) * f.values
-        return float(v @ _Tridiag(self.diag, self.off, rank1=self.rank1).matvec(v))
+        return float(_dot(v, _Tridiag(self.diag, self.off, rank1=self.rank1).matvec(v)))
 
 
 def build_channel(gs: GroundState, ell: int) -> HessianChannel:
@@ -153,9 +154,9 @@ def kernel_report(gs: GroundState) -> KernelReport:
         overlap = None
         if ell in refs and nz.size:
             ref = sq * refs[ell]
-            ref = ref / np.linalg.norm(ref)
+            ref = ref / np.sqrt(_dot(ref, ref))
             idx = int(np.argmin(np.abs(ch.lowest_eigs)))
-            overlap = float(abs(ch.eigvecs[:, idx] @ ref))
+            overlap = float(abs(_dot(ch.eigvecs[:, idx], ref)))
         expected = 1 if ell in (0, 1) else 0
         if nz.size != expected:
             anomalies.append(
@@ -207,7 +208,7 @@ def local_stability_probe(
 
     def energy_at(s):
         vals = gs.Q.values + s * direction.values
-        vals = vals / np.sqrt(gs.grid.quad_weights @ vals**2)
+        vals = vals / np.sqrt(_dot(gs.grid.quad_weights, vals**2))
         return gns_energy(GridFunction(gs.grid, vals), gs.q), vals
 
     e_plus, vals = energy_at(t)

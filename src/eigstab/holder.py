@@ -24,6 +24,7 @@ from .measure import (
     MeasFunction,
     WeightedMeasure,
     _check_same_measure,
+    _dot,
     _dual_rows,
     conjugate_exponent,
     lp_norm_rows,
@@ -138,17 +139,11 @@ def _gap_rows(psi_rows, u_rows, weights, q: float):
     uvals = np.real(u_rows)
     if (uvals < 0.0).any():
         raise PreconditionError("U must be nonnegative")
-    dual = q / (q - 2.0)
-    nrm = lp_norm_rows(u_rows, weights, dual)
-    off = np.abs(nrm - 1.0) > UNIT_NORM_TOL
-    if off.any():
-        raise PreconditionError(
-            f"U must have unit L^{dual:g} norm (norm = {float(nrm[off][0])!r})"
-        )
+    _unit_norm(u_rows, weights, q / (q - 2.0), "U")
     psiq = lp_norm_rows(psi_rows, weights, q)
     if (psiq == 0.0).any():
         raise DegenerateInputError("psi must not be identically zero")
-    H = scalar_pow(psiq, 2.0) - np.sum(weights * uvals * np.abs(psi_rows) ** 2, axis=-1)
+    H = scalar_pow(psiq, 2.0) - _dot(weights * uvals, np.abs(psi_rows) ** 2)
     return H, psiq
 
 

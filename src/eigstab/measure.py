@@ -34,6 +34,14 @@ def scalar_pow(x, e: float):
         raise InvalidExponentError(f"a norm raised to the power {e} overflows") from exc
 
 
+def _dot(x, y):
+    """sum_i x_i y_i along the last axis, row by row: the package's one
+    reduction rule (docs/derivations.md §11).  numpy's einsum loop sums,
+    never BLAS, whose ddot threads past n = 10000, so its bits would depend
+    on the thread count."""
+    return np.einsum("...i,...i->...", x, y)
+
+
 def weighted_norm(vals, weights, p: float):
     """(sum_i w_i vals_i^p)^(1/p) for vals >= 0, row by row along the last
     axis; the max of each row is factored out to avoid overflow for large
@@ -41,7 +49,7 @@ def weighted_norm(vals, weights, p: float):
     rows = vals.reshape(-1, vals.shape[-1])
     m = rows.max(axis=1)
     m[m == 0.0] = 1.0  # a zero row scales by 1 and gives 0
-    out = m * scalar_pow(np.vecdot((rows / m[:, None]) ** p, weights), 1.0 / p)
+    out = m * scalar_pow(_dot((rows / m[:, None]) ** p, weights), 1.0 / p)
     return float(out[0]) if vals.ndim == 1 else out
 
 
@@ -186,7 +194,7 @@ def lp_norm_rows(vals, weights, p: float):
 
 def pairing_rows(f_rows, g_rows, weights):
     """Bilinear pairing sum_i w_i f_i g_i (no conjugation) of each row pair."""
-    return np.sum(weights * f_rows * g_rows, axis=-1)
+    return _dot(weights * f_rows, g_rows)
 
 
 def duality_map_rows(vals, weights, p: float):

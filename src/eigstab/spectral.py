@@ -24,6 +24,7 @@ from .grid import (
     gradient_squared_integral,
     symmetric_tridiagonal,
 )
+from .measure import _dot
 
 ITERATION_CAP = 10_000
 DEFAULT_TOL = 1e-10
@@ -42,23 +43,22 @@ class EigenPair:
 def _inverse_step(A: _Tridiag, solve, v):
     """One inverse-iteration step, solve(v) = (A - sigma I)^(-1) v made a
     unit vector: (its Rayleigh quotient, it), or None when the solve is
-    singular, v or the result is not finite, or the result is zero.  Sums
-    are numpy's: BLAS ddot threads past n = 10000, and took ~8 ms a call
-    on 2 cores."""
+    singular, v or the result is not finite, or the result is zero."""
     try:
         y = solve(v)
     except (np.linalg.LinAlgError, ValueError):  # ValueError: v or the shift not finite
         return None
-    ny = np.sqrt(np.sum(y * y))
+    ny = np.sqrt(_dot(y, y))
     if not 0.0 < ny < np.inf:
         return None
     v = y / ny
-    return float(np.sum(v * A.matvec(v))), v
+    return float(_dot(v, A.matvec(v))), v
 
 
 def _residual(A: _Tridiag, lam, v) -> float:
     """||A v - lam v||."""
-    return float(np.sqrt(np.sum((A.matvec(v) - lam * v) ** 2)))
+    r = A.matvec(v) - lam * v
+    return float(np.sqrt(_dot(r, r)))
 
 
 def _tol_eff(A: _Tridiag) -> float:
@@ -118,7 +118,7 @@ def _count_below(A: _Tridiag, mu) -> int:
     if rho == 0.0:
         return m
     try:
-        t = 1.0 + rho * float(np.sum(u * _Tridiag(A.main, A.upper).solve_shifted(mu, u)))
+        t = 1.0 + rho * float(_dot(u, _Tridiag(A.main, A.upper).solve_shifted(mu, u)))
     except np.linalg.LinAlgError:
         return -1
     return m + int(np.sign(t) == np.sign(rho)) - int(rho > 0.0)
@@ -151,8 +151,8 @@ def smallest_eigenpairs(
     # eigenvalue at or below it; else the same margin below a bound from T
     sigma = -max(1e-8 * A.opnorm, 1e-8)
     if _count_below(A, sigma) != 0:
-        rho, u = A.rank1 or (0.0, 0.0)
-        sigma += _cold_ground_pair(_Tridiag(A.main, A.upper))[0] + min(rho, 0.0) * np.sum(u * u)
+        rho, u = A.rank1 or (0.0, np.zeros(A.n))
+        sigma += _cold_ground_pair(_Tridiag(A.main, A.upper))[0] + min(rho, 0.0) * _dot(u, u)
     lin = spla.LinearOperator((A.n, A.n), matvec=A.matvec, dtype=float)
     opinv = spla.LinearOperator(
         (A.n, A.n), matvec=lambda b: A.solve_shifted(sigma, b), dtype=float
@@ -180,7 +180,7 @@ def smallest_eigenpairs(
     tol_eff, worst = _tol_eff(A), float(residuals.max())
     if not worst <= tol_eff:
         fault = f"residual {worst:.3e} exceeds target {tol_eff:.3e}"
-    elif not np.abs(vecs.T @ vecs - np.eye(k)).max() <= 1e-8:
+    elif not np.abs(_dot(vecs.T[:, None], vecs.T) - np.eye(k)).max() <= 1e-8:
         fault = "vectors not orthonormal"
     elif (below := _count_below(A, eigs.max() + tol_eff)) != k:
         fault = f"pairs not the {k} lowest: {below} eigenvalues up to lambda_k + {tol_eff:.3e}"
@@ -192,11 +192,11 @@ def smallest_eigenpairs(
 def rayleigh_quotient(psi: GridFunction, V: GridFunction) -> float:
     """(int |grad psi|^2 + int V psi^2) / int psi^2."""
     w = psi.grid.quad_weights
-    denom = float(w @ psi.values**2)
+    denom = float(_dot(w, psi.values**2))
     if denom == 0.0:
         raise DegenerateInputError("rayleigh_quotient of the zero function")
     kinetic = gradient_squared_integral(psi)
-    potential = float(w @ (V.values * psi.values**2))
+    potential = float(_dot(w, V.values * psi.values**2))
     return (kinetic + potential) / denom
 
 
@@ -205,10 +205,7 @@ def lowest_eigenpair(V: GridFunction) -> EigenPair:
     grid = V.grid
     A = _Tridiag(*symmetric_tridiagonal(grid, 0, V.values))
     lam, v = _cold_ground_pair(A)
-    w = grid.quad_weights
-    psi_vals = v / np.sqrt(w)
-    # normalize in the quadrature L2 norm and fix the sign
-    psi_vals /= np.sqrt(w @ psi_vals**2)
+    psi_vals = v / np.sqrt(grid.quad_weights)  # unit in the quadrature L2 norm, as v is
     peak = np.argmax(np.abs(psi_vals))
     if psi_vals[peak] < 0.0:
         psi_vals = -psi_vals

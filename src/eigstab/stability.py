@@ -44,7 +44,7 @@ from .groundstate import (
     _family_neg,
     _profile_exponents,
 )
-from .measure import weighted_norm
+from .measure import _dot, weighted_norm
 from .spectral import lambda_of_potential, lowest_eigenpair
 
 #: distances below this leave empirical_c undefined (division by ~0)
@@ -119,7 +119,7 @@ def _window_sums(u, lattice, weights, pnorm: float, stride: int) -> np.ndarray:
         lat = np.fft.rfft([lattice, lattice**2], size)
         wts = np.fft.rfft([weights * u, weights], size).conj()
         corr = np.fft.irfft(lat[1] * wts[1] - 2.0 * lat[0] * wts[0], size)
-        return (weights @ u**2 + corr)[n - 1 :: -stride]
+        return (_dot(weights, u**2) + corr)[n - 1 :: -stride]
     rows = sliding_window_view(lattice, n)[n - 1 :: -stride]
     sums = np.empty(len(rows))
     buf = np.empty((SCAN_BLOCK, n))
@@ -128,7 +128,7 @@ def _window_sums(u, lattice, weights, pnorm: float, stride: int) -> np.ndarray:
         out = np.subtract(u, block, out=buf[: len(block)])
         np.abs(out, out=out)
         np.power(out, pnorm, out=out)
-        np.matmul(out, weights, out=sums[s : s + len(block)])
+        sums[s : s + len(block)] = _dot(out, weights)
     return sums
 
 
@@ -300,12 +300,12 @@ def deficit_decomposition(
     """
     exps, vneg = _attractive_part(V, gamma, d, gs)
     w = V.grid.quad_weights
-    nrm = float(np.sqrt(w @ psi.values**2))
+    nrm = float(np.sqrt(_dot(w, psi.values**2)))
     if abs(nrm - 1.0) > 1e-8:
         raise PreconditionError(f"psi must be unit-L2 (norm {nrm!r})")
     vt = -vneg.values
     T = gradient_squared_integral(psi)
-    pot = float(w @ (vt * psi.values**2))
+    pot = float(_dot(w, vt * psi.values**2))
     lam = T + pot
     # psi must actually be the ground state of -Lap + Vt
     ep = lowest_eigenpair(GridFunction(V.grid, vt))

@@ -37,6 +37,35 @@ def test_count_below_matches_dense_eigvalsh(rank1):
             assert spectral._count_below(A, mu) == want
 
 
+def test_count_below_refuses_a_singular_shift():
+    # T - mu is exactly singular at mu = 2, so the Haynsworth term is undefined
+    A = _Tridiag([1.0, 2.0, 3.0], [0.0, 0.0], rank1=(0.5, np.ones(3)))
+    assert spectral._count_below(A, 2.0) == -1
+    dense = np.diag([1.0, 2.0, 3.0]) + 0.5 * np.ones((3, 3))
+    assert spectral._count_below(A, 2.5) == int((np.linalg.eigvalsh(dense) <= 2.5).sum()) == 2
+
+
+def test_a_singular_kernel_shift_takes_the_fallback(monkeypatch):
+    # T's lowest eigenvalue sits exactly on the kernel shift, so the count
+    # there is -1 and the shift falls back below T's ground pair (§10)
+    n, k, rank1 = 12, 3, (0.7, np.linspace(1.0, 2.0, 12))
+    diag, off = np.arange(1.0, n + 1.0), np.zeros(n - 1)
+    diag[0] = -max(1e-8 * _Tridiag(diag, off, rank1=rank1).opnorm, 1e-8)
+    counts = []
+    count = spectral._count_below
+
+    def recorded(A, mu):
+        counts.append(count(A, mu))
+        return counts[-1]
+
+    monkeypatch.setattr(spectral, "_count_below", recorded)
+    eigs, vecs, _, _ = spectral.smallest_eigenpairs(diag, off, k, rank1=rank1)
+    assert counts == [-1, k]
+    dense = np.diag(diag) + rank1[0] * np.outer(rank1[1], rank1[1])
+    np.testing.assert_allclose(eigs, np.linalg.eigvalsh(dense)[:k], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(k), atol=1e-8)
+
+
 # -- the certificate refuses what is not the k lowest ---------------------------
 
 

@@ -33,7 +33,9 @@ import numpy as np
 #: the README commands, with ``--out`` dropped and ``{well}`` standing for a
 #: -2 sech^2 potential sampled at 4001 points on [-20, 20]; the second d = 1
 #: hessian runs at n = 16000, past the size at which BLAS threads its dot
-#: products, on the rank-one path of the ell = 0 channel; the sweep also
+#: products, on the rank-one path of the ell = 0 channel; the second
+#: constants run is at n = 16000 too, where C once moved with the BLAS
+#: thread count (docs/derivations.md §11); the sweep also
 #: runs once in its default JSON format, the summary path, and once at
 #: gamma = 2.5 (p = 3), the high branch, whose line scans take the blocked
 #: (non-FFT) window sums; the last sweep passes --p, a flag the sweep does
@@ -43,6 +45,7 @@ import numpy as np
 #: grid that truncates the profile, which is refused with exit 1
 COMMANDS = (
     "constants --gamma 1.5 --d 1",
+    "constants --gamma 1.5 --d 1 --grid-l 40 --grid-n 16000",
     "ground-state --q 4 --d 1",
     "eigen --potential {well} --grid-l 20 --grid-n 4000",
     "hessian --q 4 --d 1",
