@@ -266,6 +266,18 @@ class _Tridiag:
             out += rho * _dot(u, v) * u
         return out
 
+    def quadratic_form(self, v) -> float:
+        """v.A v = sum s_i v_i^2 - sum upper_i (v_i - v_{i+1})^2 + rho (u.v)^2,
+        s the row sums: the edge differences leave out the rounding of the
+        2/h^2 diagonal that sum v_i (A v)_i carries (derivations §10)."""
+        s = self.main + np.r_[self.upper, 0.0] + np.r_[0.0, self.upper]
+        dv = np.diff(v)
+        out = _dot(s, v * v) - _dot(self.upper, dv * dv)
+        if self.rank1 is not None:
+            rho, u = self.rank1
+            out += rho * _dot(u, v) ** 2
+        return float(out)
+
     def solve_shifted(self, sigma, rhs):
         """(A - sigma I)^(-1) rhs by tridiagonal LU (LAPACK dgttrf) and
         Sherman-Morrison.  The factors of the last shift, the column

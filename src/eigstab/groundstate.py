@@ -53,7 +53,7 @@ from .grid import (
     symmetric_tridiagonal,
 )
 from .measure import _dot, weighted_norm
-from .spectral import _cold_ground_pair, _residual, _tol_eff
+from .spectral import _certified, _residual, _tol_eff
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,7 @@ def _petviashvili(grid: Grid, q: float) -> np.ndarray:
     (q-1)/(q-2), gamma = <(-Lap+1)u, u> / <u^(q-1), u>, which is 1 at the fixed
     point; it runs on v = sqrt(w) u with the symmetric A + I and returns u.  It
     stops on |gamma - 1| < 1e-12 alone, since u only seeds Newton through an
-    O(h^2) interpolation, and Newton's closing step gates the residual.
+    O(h^2) interpolation, and the certificate after Newton gates the residual.
     """
     sw = np.sqrt(grid.quad_weights)
     A = _Tridiag(*symmetric_tridiagonal(grid, 0))
@@ -307,9 +307,9 @@ def solve_ground_state(q: float, d: int, grid: Grid) -> GroundState:
 
     The parameter-free equation is solved on a unit-scale grid refined until
     its scale settles (Petviashvili) and rescaled onto ``grid``; Newton on (Q, E) solves the
-    profile equation with unit mass there, and a certified ground pair of
-    -Lap - ||Q||_q^(2-q) Q^(q-2) closes the solve, whose residual must pass
-    the eigensolver's gate _tol_eff.  docs/derivations.md §3.
+    profile equation with unit mass there.  Its own (E, Q), with no eigensolve,
+    must pass _certified as the ground pair of -Lap - (Q/||Q||_q)^(q-2): the
+    residual gate _tol_eff, then the inertia.  docs/derivations.md §3.
     """
     exps = Exponents.from_q(q, d)
     if grid.kind != "radial" or grid.dim != d:
@@ -355,21 +355,18 @@ def solve_ground_state(q: float, d: int, grid: Grid) -> GroundState:
         v = v + dv
         energy += d_energy
 
-    # -- closing step: the certified ground pair at the Newton iterate --
-    coupling = norm_q ** (2.0 - q)
-    diag, off = symmetric_tridiagonal(grid, 0, -coupling * np.abs(psi) ** (q - 2.0))
-    pair = _cold_ground_pair(_Tridiag(diag, off), v)
-    psi = np.abs(pair[1]) / sw  # unit in the quadrature L2 norm, as pair[1] is
-    energy = float(pair[0])
-    # the weighted L2 norm of -Lap psi - c psi^(q-1) - E psi, in sqrt(w) coordinates
-    A = _Tridiag(*symmetric_tridiagonal(grid, 0, -coupling * psi ** (q - 2.0)))
-    residual = _residual(A, energy, sw * psi)
-    if not residual <= _tol_eff(A):
+    # -- certificate: (E, |v|) must be the ground pair of -Lap - (Q/||Q||_q)^(q-2) --
+    v, psi, energy = np.abs(v), np.abs(psi), float(energy)
+    A = _Tridiag(*symmetric_tridiagonal(grid, 0, -((psi / norm_q) ** (q - 2.0))))
+    residual, tol_eff = _residual(A, energy, v), _tol_eff(A)
+    if not residual <= tol_eff:
         raise ConvergenceError(
             f"profile solve stalled at residual {residual:.3e}",
             best=GridFunction(grid, psi),
             residual=residual,
         )
+    if not _certified(A, energy, v, tol_eff):  # past the residual gate: the inertia refuses
+        raise ConvergenceError(f"profile solve at E = {energy:.6g}: not its operator's ground pair")
     if energy >= 0.0:
         raise ConvergenceError("profile solve converged to E >= 0", residual=residual)
     if abs(energy + s * s) > max(SEED_AGREEMENT, change) * s * s:
@@ -384,7 +381,6 @@ def solve_ground_state(q: float, d: int, grid: Grid) -> GroundState:
             stacklevel=2,
         )
 
-    norm_q = weighted_norm(psi, w, q)
     c_prime = -energy
     s_const = interpolation_constant_from_c_prime(c_prime, exps.theta)
     return GroundState(

@@ -30,7 +30,7 @@ from .grid import (
     radial_derivative,
     symmetric_tridiagonal,
 )
-from .groundstate import GroundState, _second_variation, gns_energy
+from .groundstate import GroundState, _second_variation, gns_energy, optimal_potential
 from .measure import _dot
 from .spectral import _tol_eff, smallest_eigenpairs
 
@@ -67,14 +67,13 @@ class HessianChannel:
     def quadratic_form(self, f: GridFunction) -> float:
         w = f.grid.quad_weights
         v = np.sqrt(w) * f.values
-        return float(_dot(v, _Tridiag(self.diag, self.off, rank1=self.rank1).matvec(v)))
+        return _Tridiag(self.diag, self.off, rank1=self.rank1).quadratic_form(v)
 
 
 def build_channel(gs: GroundState, ell: int) -> HessianChannel:
     """Assemble channel ell of H at gs and compute its CHANNEL_PAIRS lowest
-    eigenpairs; gs must pass solve_ground_state's gate, _tol_eff of -Lap - ||Q||_q^(2-q) Q^(q-2)."""
-    profile = -gs.norm_q ** (2.0 - gs.q) * np.abs(gs.Q.values) ** (gs.q - 2.0)
-    tol_eff = _tol_eff(_Tridiag(*symmetric_tridiagonal(gs.grid, 0, profile)))
+    eigenpairs; gs must pass solve_ground_state's gate, _tol_eff of -Lap + optimal_potential(gs)."""
+    tol_eff = _tol_eff(_Tridiag(*symmetric_tridiagonal(gs.grid, 0, optimal_potential(gs).values)))
     if not gs.el_residual <= tol_eff:
         raise PreconditionError(
             f"profile residual {gs.el_residual:.3e} exceeds {tol_eff:.3e}; "

@@ -52,7 +52,7 @@ def _inverse_step(A: _Tridiag, solve, v):
     if not 0.0 < ny < np.inf:
         return None
     v = y / ny
-    return float(_dot(v, A.matvec(v))), v
+    return A.quadratic_form(v), v
 
 
 def _residual(A: _Tridiag, lam, v) -> float:
@@ -79,8 +79,9 @@ def _cold_ground_pair(A: _Tridiag, guess=None):
     A by inverse iteration from guess (default: the ones vector), at shifts
     dpttrf certifies below lambda_0 (derivations §10), closed one step past
     the gate _tol_eff(A); ConvergenceError after INVERSE_CAP, or at once
-    from a zero or non-finite guess.  A poor guess costs steps, never a
-    wrong pair."""
+    from a zero or non-finite guess.  No caller passes a guess: it is the
+    seam through which tests/test_factor_once.py reach the certificate's
+    refusal and the bisection that lowest_eigenpair runs."""
     from scipy.linalg.lapack import dpttrf, dpttrs
     if not (np.isfinite(A.main).all() and np.isfinite(A.upper).all()):
         raise ValueError("matrix must not contain infs or NaNs")

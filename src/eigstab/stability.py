@@ -43,6 +43,7 @@ from .groundstate import (
     GroundState,
     _family_neg,
     _profile_exponents,
+    optimal_potential,
 )
 from .measure import _dot, weighted_norm
 from .spectral import lambda_of_potential, lowest_eigenpair
@@ -369,13 +370,13 @@ def radial_sweep_corpus(grid: Grid, gs: GroundState):
     if grid.kind != "radial":
         raise PreconditionError("radial_sweep_corpus needs a radial grid")
     r = grid.nodes
-    base = _family_neg(gs, grid, 1.0, 0.0)
+    W = optimal_potential(gs, grid=grid).values
     out = []
     for s in np.linspace(0.8, 1.6, 6):
-        out.append(("rdepth", float(s), GridFunction(grid, -s * base)))
+        out.append(("rdepth", float(s), GridFunction(grid, s * W)))
     for eps in np.linspace(0.05, 0.3, 6):
         mod = 1.0 + eps * np.cos(2.0 * math.pi * r / (0.5 * grid.extent))
-        out.append(("rcosine", float(eps), GridFunction(grid, -1.2 * base * mod)))
+        out.append(("rcosine", float(eps), GridFunction(grid, 1.2 * W * mod)))
     return out
 
 

@@ -49,7 +49,7 @@ def test_fine_grid_eigenvalue_is_the_rayleigh_quotient_of_its_vector():
 
 
 def test_convergence_table_reads_the_second_order_ratio(capsys):
-    # the h^2 error ratio of the default table is 4.00002 at n = 16000;
+    # the h^2 error ratio of the default table is 4.0000192 at n = 16000;
     # bisection's error put it at 3.99953
     assert main(["convergence"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]

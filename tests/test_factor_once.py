@@ -1,6 +1,6 @@
 """Shifted solves factored once per shift, the certified ground pair from a
-start vector (the Newton iterate of the profile solve), and the NaN-safe
-residual gates."""
+start vector, the profile solve certified with no eigensolve, and the
+NaN-safe residual gates."""
 
 import warnings
 
@@ -132,6 +132,19 @@ def test_warm_pair_refuses_an_excited_vector(sech_well, j):
     assert abs(lam - eigs[0]) <= 1e-10
 
 
+def test_certificate_accepts_the_ground_pair_and_refuses_the_first_excited(sech_well):
+    # both pairs pass the residual half of the gate; only the inertia half,
+    # dpttrf of A - (lambda - tol_eff), tells lambda_1 from lambda_0
+    diag, off, _, vecs = sech_well
+    A = _Tridiag(diag, off)
+    tol_eff = spectral._tol_eff(A)
+    for j, want in ((0, True), (1, False)):
+        v = vecs[:, j]
+        lam = A.quadratic_form(v)
+        assert spectral._residual(A, lam, v) <= tol_eff
+        assert bool(spectral._certified(A, lam, v, tol_eff)) is want
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
 def test_warm_pair_refuses_a_non_finite_or_zero_guess(sech_well, bad):
     diag, off, _, vecs = sech_well
@@ -192,8 +205,8 @@ def test_scf_constant_matches_the_full_eigensolve_polish(request, name):
 
 
 def test_scf_polish_takes_the_warm_path(monkeypatch):
-    # the closing pair starts from the Newton iterate: a few inverse steps,
-    # and no further eigensolve
+    # Newton's own pair is certified in place: no inverse step and no
+    # eigensolve, and C' still matches the full-eigensolve polish
     steps = []
     step = spectral._inverse_step
 
@@ -202,7 +215,7 @@ def test_scf_polish_takes_the_warm_path(monkeypatch):
         return step(*args)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the profile solve needs one eigensolver")
+        raise AssertionError("the profile solve needs no eigensolver")
 
     monkeypatch.setattr(spectral, "_inverse_step", counted)
     monkeypatch.setattr(spectral, "smallest_eigenpairs", refuse)
@@ -210,8 +223,22 @@ def test_scf_polish_takes_the_warm_path(monkeypatch):
         warnings.simplefilter("ignore")
         gs = groundstate.solve_ground_state(4.0, 1, Grid.radial(1, 20.0, 4000))
     assert gs.C_prime == pytest.approx(FULL_SOLVE_C_PRIME["gs_q4_d1"], rel=1e-10)
-    assert 1 <= len(steps) <= 3
+    assert steps == []
     assert not hasattr(groundstate, "smallest_eigenpairs")
+    assert not hasattr(groundstate, "_cold_ground_pair")
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SOLVE_C_PRIME))
+def test_the_profile_pair_passes_both_halves_of_the_certificate(request, name):
+    gs = request.getfixturevalue(name)
+    A = _Tridiag(*symmetric_tridiagonal(gs.grid, 0, groundstate.optimal_potential(gs).values))
+    v = np.sqrt(gs.grid.quad_weights) * gs.Q.values
+    assert spectral._certified(A, gs.E, v, spectral._tol_eff(A))
+
+
+def test_the_profile_energy_is_a_python_float(gs_q4_d1):
+    # Newton accumulates E as a numpy scalar; the result reports float(E)
+    assert type(gs_q4_d1.E) is float
 
 
 @pytest.mark.parametrize("eps", [1e-6, 3e-5, 1e-4])

@@ -1,6 +1,6 @@
-"""Gates that the fixtures never reach: the profile's residual gate, the
-kernel report's anomaly path through the CLI, and the range of k and n in
-smallest_eigenpairs."""
+"""Gates that the fixtures never reach: the profile's residual gate and
+inertia certificate, the kernel report's anomaly path through the CLI, and
+the range of k and n in smallest_eigenpairs."""
 
 import json
 import math
@@ -17,23 +17,32 @@ from eigstab.spectral import smallest_eigenpairs
 
 
 def test_a_perturbed_closing_pair_fails_the_residual_gate(monkeypatch):
-    # 1e-6 cos(i) on the certified pair's vector puts the profile's residual
-    # far above tol_eff: the solve must refuse and hand back what it had
-    pair = groundstate._cold_ground_pair
+    # a seed perturbed by 1e-3 cos r and a Newton that stops after one step:
+    # the pair's residual is far above tol_eff, so the solve must refuse and
+    # hand back what it had
+    seed = groundstate._petviashvili
 
-    def perturbed(*args):
-        lam, v = pair(*args)
-        v = v + 1e-6 * np.cos(np.arange(v.size))
-        return lam, v / np.linalg.norm(v)
+    def perturbed(grid, q):
+        return seed(grid, q) * (1.0 + 1e-3 * np.cos(grid.nodes))
 
-    monkeypatch.setattr(groundstate, "_cold_ground_pair", perturbed)
+    monkeypatch.setattr(groundstate, "_petviashvili", perturbed)
+    monkeypatch.setattr(groundstate, "NEWTON_STEP_TOL", 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(ConvergenceError, match="profile solve stalled") as info:
             groundstate.solve_ground_state(4.0, 1, Grid.radial(1, 20.0, 4000))
     assert isinstance(info.value.best, GridFunction)
     assert math.isfinite(info.value.residual)
-    assert info.value.residual == pytest.approx(1.657, rel=1e-3)
+    assert info.value.residual == pytest.approx(2.252e-7, rel=1e-3)
+
+
+def test_a_pair_past_the_residual_gate_must_pass_the_inertia(monkeypatch):
+    # the inertia half of the certificate refuses with its own message
+    monkeypatch.setattr(groundstate, "_certified", lambda *args: False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ConvergenceError, match="not its operator's ground pair"):
+            groundstate.solve_ground_state(4.0, 1, Grid.radial(1, 20.0, 4000))
 
 
 def test_a_kernel_anomaly_is_a_contract_violation(monkeypatch, capsys):
