@@ -19,6 +19,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -266,13 +267,18 @@ class _Tridiag:
             out += rho * _dot(u, v) * u
         return out
 
+    @cached_property
+    def _row_sums(self):
+        """Row sums of the tridiagonal part; main and upper are never
+        reassigned, so they are taken once."""
+        return self.main + np.r_[self.upper, 0.0] + np.r_[0.0, self.upper]
+
     def quadratic_form(self, v) -> float:
         """v.A v = sum s_i v_i^2 - sum upper_i (v_i - v_{i+1})^2 + rho (u.v)^2,
         s the row sums: the edge differences leave out the rounding of the
         2/h^2 diagonal that sum v_i (A v)_i carries (derivations §10)."""
-        s = self.main + np.r_[self.upper, 0.0] + np.r_[0.0, self.upper]
         dv = np.diff(v)
-        out = _dot(s, v * v) - _dot(self.upper, dv * dv)
+        out = _dot(self._row_sums, v * v) - _dot(self.upper, dv * dv)
         if self.rank1 is not None:
             rho, u = self.rank1
             out += rho * _dot(u, v) ** 2

@@ -400,18 +400,39 @@ def solve_ground_state(q: float, d: int, grid: Grid) -> GroundState:
 # ---------------------------------------------------------------------------
 
 def profile_interpolant(gs: GroundState):
-    """Callable Q(r) for r >= 0, cubic off-node, 0 beyond the grid."""
+    """Callable Q(r) for r >= 0, cubic off-node, 0 beyond the grid.
+
+    The natural CubicSpline only supplies the coefficients.  The interval of
+    x comes from the uniform knots by arithmetic, corrected by one either
+    way to scipy's rule r[i] <= x < r[i+1] (the last interval closed), and
+    the cubic is summed in scipy's order, so every value is the spline's
+    bit for bit (derivations §5)."""
     from scipy.interpolate import CubicSpline
 
     r = gs.grid.nodes
-    spline = CubicSpline(r, gs.Q.values, bc_type="natural", extrapolate=False)
-    r0, rmax = r[0], r[-1]
+    coef = CubicSpline(r, gs.Q.values, bc_type="natural").c.T.copy()  # rows c0 s^3 .. c3
+    coef[:, 3] += 0.0  # scipy's sum starts at 0.0, which turns a -0.0 c3 into +0.0
+    r0, rmax, inv_h = r[0], r[-1], 1.0 / gs.grid.spacing
+    # r[i] and r[i+1] with inf past the last interval, which is closed
+    lower, upper = np.r_[r[:-1], np.inf], np.r_[r[1:-1], np.inf]
 
     def evaluate(x):
         x = np.abs(np.asarray(x, dtype=float))
-        # flat (even) continuation below the first node: spline(r0) is Q(r0)
-        out = np.where(x <= rmax, spline(np.clip(x, r0, rmax)), 0.0)
-        return np.clip(out, 0.0, None)
+        # flat (even) continuation below the first node: the spline at r0 is
+        # Q(r0); fmin sends NaN and inf to rmax, and the last line to 0
+        xc = np.fmin(np.maximum(x, r0), rmax)
+        i = ((xc - r0) * inv_h).astype(np.intp)
+        i -= xc < lower.take(i)
+        i += xc >= upper.take(i)
+        c, s = coef.take(i, axis=0), xc - r.take(i)
+        s2 = s * s
+        val = c[..., 2] * s
+        val += c[..., 3]
+        val += c[..., 1] * s2
+        s2 *= s
+        s2 *= c[..., 0]
+        val += s2
+        return np.maximum(np.where(x <= rmax, val, 0.0), 0.0)
 
     return evaluate
 

@@ -133,7 +133,9 @@ def _window_sums(u, lattice, weights, pnorm: float, stride: int) -> np.ndarray:
     return sums
 
 
-def _branch_distance(vneg: GridFunction, exps: Exponents, gs: GroundState, power: bool):
+def _branch_distance(
+    vneg: GridFunction, exps: Exponents, gs: GroundState, power: bool, members=None
+):
     """(distance, a, b) in the low or high (power) branch; see distance_to_manifold.
 
     The branch maps V_- to u = V_-^m in L^r (m = 1, r = p low; m = 2/(q-2),
@@ -144,7 +146,8 @@ def _branch_distance(vneg: GridFunction, exps: Exponents, gs: GroundState, power
     lattice sample (W_-(x_i - x_j) = b^2 V0_-(b h |i - j|)).  Window sums at
     every SCAN_STRIDE-th node only rank the shifts; Brent's bounded method
     refines the winner on the exact objective, so the result is an exact
-    evaluation and never above the coarse winner's value.
+    evaluation and never above the coarse winner's value.  A dict passed as
+    members receives the W_- values of every member evaluated, keyed (b, a).
     """
     from scipy.optimize import minimize_scalar
 
@@ -154,16 +157,20 @@ def _branch_distance(vneg: GridFunction, exps: Exponents, gs: GroundState, power
     p, q, d = exps.p, exps.q, exps.d
     expo = 1.0 / (4.0 / (q - 2.0) - 2.0 * d / q) if power else p / (2.0 * p - d)
     b = denom**expo
+    members = {} if members is None else members
 
     def objective(a):
-        w, _ = _branch_map(_family_neg(gs, grid, b, a), exps, power)
+        w = members[b, a] = _family_neg(gs, grid, b, a)
+        w, _ = _branch_map(w, exps, power)
         return weighted_norm(np.abs(u - w), weights, r) / denom
 
     if grid.kind == "radial":
         return objective(0.0), 0.0, b
 
     n, h = grid.n, grid.spacing
-    lattice, _ = _branch_map(b**2 * gs._v0neg(b * h * np.abs(np.arange(1 - n, n))), exps, power)
+    # l_k for k >= 0, mirrored: b h |k| is the same float on both sides
+    half, _ = _branch_map(b**2 * gs._v0neg(b * h * np.arange(n)), exps, power)
+    lattice = np.concatenate((half[:0:-1], half))
     sums = _window_sums(u, lattice, weights, r, SCAN_STRIDE)
     a0 = float(grid.nodes[SCAN_STRIDE * int(np.argmin(sums))])
     bracket = (a0 - SCAN_STRIDE * h, a0 + SCAN_STRIDE * h)
@@ -234,7 +241,8 @@ def stability_report(V: GridFunction, gamma: float, d: int, gs: GroundState) -> 
     exps, vneg = _attractive_part(V, gamma, d, gs)
     lam, ratio = _lambda_ratio(V, vneg, exps)
     dfc = gs.C_prime - ratio
-    dist, a, b = _branch_distance(vneg, exps, gs, exps.p > 2.0)
+    members = {}
+    dist, a, b = _branch_distance(vneg, exps, gs, exps.p > 2.0, members)
     branch = "low" if exps.p <= 2.0 else "high"
     emp = None
     if dist >= DISTANCE_FLOOR:
@@ -244,12 +252,12 @@ def stability_report(V: GridFunction, gamma: float, d: int, gs: GroundState) -> 
     if exps.p >= 2.0:
         # at p = 2 the power map is the identity, so the branch scan is the L^p scan
         transfer, ap, bp = (
-            (dist, a, b) if exps.p == 2.0 else _branch_distance(vneg, exps, gs, False)
+            (dist, a, b) if exps.p == 2.0 else _branch_distance(vneg, exps, gs, False, members)
         )
         if transfer >= DISTANCE_FLOOR:
             transfer_ratio = dfc / (gs.C_prime * transfer ** (2.0 * gamma + d - 2.0))
-        # both sides of the transfer comparison at the p-matched member
-        w_vals = _family_neg(gs, V.grid, bp, ap)
+        # both sides of the transfer comparison at the p-matched member, as its scan evaluated it
+        w_vals = members[bp, ap]
         weights = V.grid.quad_weights
         lp_diff = weighted_norm(np.abs(vneg.values - w_vals), weights, exps.p)
         trans_lhs = (1.0 / exps.p) * (lp_diff / 2.0) ** (exps.p - 1.0)
