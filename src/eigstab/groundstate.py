@@ -419,7 +419,7 @@ def profile_interpolant(gs: GroundState):
     def evaluate(x):
         x = np.abs(np.asarray(x, dtype=float))
         # flat (even) continuation below the first node: the spline at r0 is
-        # Q(r0); fmin sends NaN and inf to rmax, and the last line to 0
+        # Q(r0); fmin sends NaN and inf to rmax, and the where below to 0
         xc = np.fmin(np.maximum(x, r0), rmax)
         i = ((xc - r0) * inv_h).astype(np.intp)
         i -= xc < lower.take(i)

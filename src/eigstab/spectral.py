@@ -79,9 +79,8 @@ def _cold_ground_pair(A: _Tridiag, guess=None):
     A by inverse iteration from guess (default: the ones vector), at shifts
     dpttrf certifies below lambda_0 (derivations §10), closed one step past
     the gate _tol_eff(A); ConvergenceError after INVERSE_CAP, or at once
-    from a zero or non-finite guess.  No caller passes a guess: it is the
-    seam through which tests/test_factor_once.py reach the certificate's
-    refusal and the bisection that lowest_eigenpair runs."""
+    from a zero or non-finite guess.  lowest_eigenpair passes sqrt(w V_-);
+    a guess costs steps, never the answer (derivations §10)."""
     from scipy.linalg.lapack import dpttrf, dpttrs
     if not (np.isfinite(A.main).all() and np.isfinite(A.upper).all()):
         raise ValueError("matrix must not contain infs or NaNs")
@@ -202,10 +201,12 @@ def rayleigh_quotient(psi: GridFunction, V: GridFunction) -> float:
 
 
 def lowest_eigenpair(V: GridFunction) -> EigenPair:
-    """Ground state of -Lap + V on V's grid."""
+    """Ground state of -Lap + V on V's grid, by inverse iteration started
+    from sqrt(w V_-), or from the ones vector when V_- vanishes."""
     grid = V.grid
     A = _Tridiag(*symmetric_tridiagonal(grid, 0, V.values))
-    lam, v = _cold_ground_pair(A)
+    start = np.sqrt(grid.quad_weights * np.maximum(-V.values, 0.0))
+    lam, v = _cold_ground_pair(A, start if start.any() else None)
     psi_vals = v / np.sqrt(grid.quad_weights)  # unit in the quadrature L2 norm, as v is
     peak = np.argmax(np.abs(psi_vals))
     if psi_vals[peak] < 0.0:

@@ -105,9 +105,13 @@ def test_cold_pair_matches_dense_eigh(gs_q103_d3, case):
 
 
 def test_cold_pair_cap_raises(monkeypatch):
+    # from the ones vector the -2 sech^2 well is not certified in 3 steps;
+    # lowest_eigenpair's start sqrt(w V_-) certifies it within 3
     monkeypatch.setattr(spectral, "INVERSE_CAP", 3)
+    V = _sech_well(4000)
+    A = _Tridiag(*symmetric_tridiagonal(V.grid, 0, V.values))
     with pytest.raises(ConvergenceError, match="not certified"):
-        spectral.lowest_eigenpair(_sech_well(4000))
+        spectral._cold_ground_pair(A)
 
 
 # -- the ell = 0 Hessian channel shifted at its kernel --------------------------

@@ -6,11 +6,16 @@ from sqrt(w V_-) (docs/derivations.md §5 and §10)."""
 import numpy as np
 import pytest
 
-from eigstab import stability
-from eigstab.grid import Grid, GridFunction, _Tridiag, symmetric_tridiagonal
+from eigstab import spectral, stability
+from eigstab.grid import GridFunction, _Tridiag, symmetric_tridiagonal
 from eigstab.groundstate import Exponents, _family_neg, profile_interpolant
 from eigstab.measure import weighted_norm
-from eigstab.stability import _branch_map, line_sweep_corpus, negative_part
+from eigstab.stability import (
+    _branch_map,
+    line_sweep_corpus,
+    negative_part,
+    radial_sweep_corpus,
+)
 
 FIXTURES = ["gs_q4_d1", "gs_q3_d1", "gs_q103_d3", "gs_q4_d3"]
 
@@ -116,3 +121,51 @@ def test_cached_row_sums_keep_the_quadratic_form(line_grid):
     assert A.quadratic_form(v) == expect
     assert A.quadratic_form(v) == expect  # the second call reads the cached sums
     assert A._row_sums is A._row_sums
+
+
+# -- the ground pair started from sqrt(w V_-) ---------------------------------
+
+
+def _mean_solves(monkeypatch, corpus):
+    import scipy.linalg.lapack as lapack
+
+    calls = []
+    dpttrs = lapack.dpttrs
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dpttrs(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dpttrs", counted)
+    for V in corpus:
+        spectral.lowest_eigenpair(V)
+    return len(calls) / len(corpus)
+
+
+def test_vneg_start_cuts_the_solves_on_the_line_corpus(monkeypatch, line_grid):
+    # 7.0 solves per member from the ones vector
+    corpus = [V for _, _, V in line_sweep_corpus(line_grid)]
+    assert len(corpus) == 60
+    assert _mean_solves(monkeypatch, corpus) <= 5.5
+
+
+def test_vneg_start_cuts_the_solves_on_the_radial_corpus(monkeypatch, gs_q103_d3):
+    # 9.4 solves per member from the ones vector
+    corpus = [V for _, _, V in radial_sweep_corpus(gs_q103_d3.grid, gs_q103_d3)]
+    assert len(corpus) == 12
+    assert _mean_solves(monkeypatch, corpus) <= 7.0
+
+
+@pytest.mark.parametrize(
+    "shape, lam_ones",
+    # lambda as the ones-vector start gave it before V_- started the pair
+    [("zero", 0.006165419338744377), ("barrier", 0.027428890327005944)],
+)
+def test_no_attractive_part_starts_from_ones(line_grid, shape, lam_ones):
+    x = line_grid.nodes
+    V = GridFunction(line_grid, np.zeros_like(x) if shape == "zero" else 3.0 / np.cosh(x) ** 2)
+    A = _Tridiag(*symmetric_tridiagonal(line_grid, 0, V.values))
+    lam, v = spectral._cold_ground_pair(A)
+    pair = spectral.lowest_eigenpair(V)
+    assert pair.lam == lam == lam_ones
+    assert np.array_equal(np.abs(pair.psi.values), np.abs(v / np.sqrt(line_grid.quad_weights)))
