@@ -8,7 +8,8 @@ be close to that family?
 This script sweeps four families of attractive 1-d potentials (depth-
 scaled, width-scaled, cosine-modulated, two-bump), and for each one
 reports the saturation deficit, the L^p distance to the optimal family
-(minimized over scale and shift), and their ratio
+(the scale fixed by norm matching, minimized over the shift), and their
+ratio
 
     empirical_c = deficit / distance^2.
 
@@ -24,7 +25,6 @@ from eigstab import (
     Grid,
     deficit_decomposition,
     line_sweep_corpus,
-    lowest_eigenpair,
     run_sweep,
     solve_ground_state,
 )
@@ -63,8 +63,7 @@ for fam, par, V in corpus:
     if fam in seen:
         continue
     seen.add(fam)
-    psi = lowest_eigenpair(V).psi
-    e_part, h_part = deficit_decomposition(V, psi, 1.5, 1, gs)
+    e_part, h_part = deficit_decomposition(V, 1.5, 1, gs)
     print(
         f"  {fam:>8} {par:7.3f}: energy part {e_part:.3e} + Holder part {h_part:.3e} "
         f"= {e_part + h_part:.3e}"

@@ -37,7 +37,7 @@ class EigenPair:
     lam: float
     psi: GridFunction       # L2-normalized, sign-fixed positive at max |psi|
     residual: float
-    iterations: int | None  # neither LAPACK nor ARPACK reports a count
+    iterations: int | None  # lowest_eigenpair does not count its inverse steps: None
 
 
 def _inverse_step(A: _Tridiag, solve, v):

@@ -51,9 +51,6 @@ from .spectral import lambda_of_potential, lowest_eigenpair
 #: distances below this leave empirical_c undefined (division by ~0)
 DISTANCE_FLOOR = 1e-6
 
-#: how sloppy the supplied ground state may be in deficit_decomposition
-RAYLEIGH_RESIDUAL_CAP = 1e-6
-
 #: the line-grid shift scan ranks every SCAN_STRIDE-th node shift, SCAN_BLOCK
 #: shifts at a time, then refines the winner to SHIFT_XATOL grid spacings
 SCAN_STRIDE = 4
@@ -206,12 +203,12 @@ class StabilityReport:
     lam: float
     ratio: float
     deficit: float
-    branch: str              # "low" (p <= 2) or "high" (p >= 2)
+    branch: str              # "low" (p <= 2) or "high" (p > 2)
     distance: float
     matched_a: float
     matched_b: float
     empirical_c: float | None
-    transfer_distance: float | None  # L^p distance, populated when p >= 2
+    transfer_distance: float | None  # L^p distance, populated when p >= 2 (p = 2 is "low")
     transfer_ratio: float | None     # deficit / (C * transfer^(2 gamma + d - 2))
     trans_lhs: float | None          # p^-1 (||V_- - W_-||_p / 2)^(p-1)
     trans_rhs: float | None          # power-map distance at the p-matched W
@@ -228,7 +225,7 @@ class StabilityReport:
 def stability_report(V: GridFunction, gamma: float, d: int, gs: GroundState) -> StabilityReport:
     """Assemble deficit, distance and the stability ratios for V.
 
-    On the high branch (p >= 2, which includes the crossover p = 2) the
+    When p >= 2 (the high branch, and the crossover p = 2, labelled "low") the
     report also carries the L^p transfer distance, its non-quadratic
     exponent diagnostic deficit / (C * t^(2 gamma + d - 2)), and both
     sides of the comparison
@@ -289,47 +286,32 @@ def stability_report(V: GridFunction, gamma: float, d: int, gs: GroundState) -> 
 # ---------------------------------------------------------------------------
 
 
-def deficit_decomposition(
-    V: GridFunction, psi: GridFunction, gamma: float, d: int, gs: GroundState
-):
-    """Split the deficit of V into its two nonnegative mechanisms.
+def deficit_decomposition(V: GridFunction, gamma: float, d: int, gs: GroundState):
+    """Split the deficit of -V_- into its two nonnegative mechanisms.
 
-    With Vt = -V_- (positive parts never help the bound), psi the unit-L2
-    ground state of -Lap + Vt, and the canonical scale
-    b = (int V_-^p)^(-1/(2p-d)), returns
+    psi is solved here: the unit-L2 ground state of -Lap - V_- (positive
+    parts never help the bound).  With T = int |grad psi|^2 and the
+    canonical scale b = (int V_-^p)^(-1/(2p-d)), returns
 
         E-part = b^2 T - b^(d(q-2)/q) ||psi||_q^2 + C'       (energy above
                  the minimum for the rescaled psi)
         H-part = b^(d(q-2)/q) ||psi||_q^2 - b^2 int V_- psi^2  (the Hoelder
                  gap between V_- and the duality partner of psi)
 
-    Both are >= 0 up to discretization and their sum equals the deficit
-    exactly whenever lambda <= 0, since E-part + H-part = b^2 lambda + C'
-    and b^2 = (int V_-^p)^(-1/gamma).
+    Both are >= 0 up to discretization.  E-part + H-part = b^2 lambda + C'
+    with lambda the eigenvalue of -V_- and b^2 = (int V_-^p)^(-1/gamma), so
+    the sum is the deficit of -V_- whenever lambda <= 0; that is
+    ``deficit(V)`` when V <= 0.
     """
     exps, vneg = _attractive_part(V, gamma, d, gs)
-    w = V.grid.quad_weights
-    nrm = float(np.sqrt(_dot(w, psi.values**2)))
-    if abs(nrm - 1.0) > 1e-8:
-        raise PreconditionError(f"psi must be unit-L2 (norm {nrm!r})")
-    vt = -vneg.values
+    psi = lowest_eigenpair(GridFunction(V.grid, -vneg.values)).psi
     T = gradient_squared_integral(psi)
-    pot = float(_dot(w, vt * psi.values**2))
-    lam = T + pot
-    # psi must actually be the ground state of -Lap + Vt
-    ep = lowest_eigenpair(GridFunction(V.grid, vt))
-    scale = max(1.0, abs(ep.lam))
-    if abs(ep.lam - lam) > RAYLEIGH_RESIDUAL_CAP * scale:
-        raise PreconditionError(
-            f"psi is not the ground state of -Lap - V_- "
-            f"(Rayleigh {lam!r} vs eigenvalue {ep.lam!r})"
-        )
+    attraction = float(_dot(V.grid.quad_weights, vneg.values * psi.values**2))
     p, q = exps.p, exps.q
     b = norm_lp(vneg, p) ** (-p / (2.0 * p - d))
-    nq2 = norm_lp(psi, q) ** 2
-    mid = b ** (d * (q - 2.0) / q) * nq2
+    mid = b ** (d * (q - 2.0) / q) * norm_lp(psi, q) ** 2
     e_part = b**2 * T - mid + gs.C_prime
-    h_part = mid - b**2 * (-pot)
+    h_part = mid - b**2 * attraction
     return float(e_part), float(h_part)
 
 

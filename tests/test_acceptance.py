@@ -300,8 +300,7 @@ def test_acceptance_8_decomposition_identity(capsys, line_grid, gs_q4_d1, gs_q10
     for corpus, gamma, d, gs in cases:
         for fam, par, V in corpus:
             count += 1
-            psi = lowest_eigenpair(V).psi
-            e_part, h_part = deficit_decomposition(V, psi, gamma, d, gs)
+            e_part, h_part = deficit_decomposition(V, gamma, d, gs)
             worst_neg = min(worst_neg, e_part, h_part)
             gap = abs(e_part + h_part - deficit_of(V, gamma, d, gs))
             worst_gap = max(worst_gap, gap)

@@ -1,5 +1,5 @@
-"""The Petviashvili phase only seeds the SCF polish, through an O(h^2)
-interpolation; the polish and its residual gate set the answer.  So the
+"""The Petviashvili phase only seeds the Newton solve, through an O(h^2)
+interpolation; Newton and its residual gate set the answer.  So the
 phase stops on its stabilizing factor alone (|gamma - 1| < 1e-12), and a
 perturbed seed leaves C' where it was."""
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import solve_quiet
 
-from eigstab.exceptions import DegenerateInputError, InvalidExponentError, PreconditionError
+from eigstab.exceptions import DegenerateInputError, InvalidExponentError
 from eigstab.grid import Grid, GridFunction
 from eigstab.spectral import lowest_eigenpair
 from eigstab.stability import (
@@ -179,23 +179,37 @@ def test_empirical_c_undefined_at_zero_distance(gs_q4_d1):
 
 def test_decomposition_identity(line_grid, gs_q4_d1):
     V = _sech_well(line_grid, depth=1.0)
-    psi = lowest_eigenpair(V).psi
-    e_part, h_part = deficit_decomposition(V, psi, 1.5, 1, gs_q4_d1)
+    e_part, h_part = deficit_decomposition(V, 1.5, 1, gs_q4_d1)
     assert e_part >= -1e-8
     assert h_part >= -1e-8
     assert e_part + h_part == pytest.approx(deficit(V, 1.5, 1, gs_q4_d1), abs=1e-10)
 
 
-def test_decomposition_rejects_wrong_state(line_grid, gs_q4_d1):
-    V = _sech_well(line_grid, depth=1.0)
-    w = line_grid.quad_weights
-    vals = np.exp(-(line_grid.nodes**2))
-    vals /= np.sqrt(w @ vals**2)
-    with pytest.raises(PreconditionError):
-        deficit_decomposition(V, GridFunction(line_grid, vals), 1.5, 1, gs_q4_d1)
-    psi = lowest_eigenpair(V).psi
-    with pytest.raises(PreconditionError):
-        deficit_decomposition(V, 2.0 * psi, 1.5, 1, gs_q4_d1)
+def test_decomposition_of_a_potential_with_a_positive_part(line_grid, gs_q4_d1):
+    # the parts split the deficit of -V_-; the positive part only raises lambda(V)
+    x = line_grid.nodes
+    V = GridFunction(line_grid, -2.0 / np.cosh(x) ** 2 + 0.5 / np.cosh(x - 1.5) ** 2)
+    e_part, h_part = deficit_decomposition(V, 1.5, 1, gs_q4_d1)
+    assert e_part >= -1e-8
+    assert h_part >= -1e-8
+    attractive = GridFunction(line_grid, -negative_part(V).values)
+    assert e_part + h_part == pytest.approx(deficit(attractive, 1.5, 1, gs_q4_d1), abs=1e-10)
+    assert e_part + h_part <= deficit(V, 1.5, 1, gs_q4_d1)
+
+
+def test_decomposition_solves_one_ground_pair(monkeypatch, line_grid, gs_q4_d1):
+    from eigstab import stability
+
+    calls = []
+
+    def counted(V):
+        calls.append(V)
+        return lowest_eigenpair(V)
+
+    monkeypatch.setattr(stability, "lowest_eigenpair", counted)
+    for depth in (0.6, 1.0, 1.4):
+        deficit_decomposition(_sech_well(line_grid, depth=depth), 1.5, 1, gs_q4_d1)
+    assert len(calls) == 3
 
 
 def test_line_corpus_composition(line_grid):
