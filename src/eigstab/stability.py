@@ -11,7 +11,7 @@ V0 = (Q/||Q||_q)^(q-2), which saturate the sharp bound
 branch-appropriate norm.  One function, ``_branch_distance``, owns both
 parameters: the scale b by norm matching, in closed form since the unit
 member has norm 1, and the shift a by a ranked lattice scan and a Brent
-refinement.
+refinement seeded from the scan's own sums.
 ``stability_report`` combines the two into the empirical stability ratio
 deficit / (C * distance^2).  All quotients are invariant under
 V -> b^2 V(b x) and translations.
@@ -52,10 +52,12 @@ from .spectral import lambda_of_potential, lowest_eigenpair
 DISTANCE_FLOOR = 1e-6
 
 #: the line-grid shift scan ranks every SCAN_STRIDE-th node shift, SCAN_BLOCK
-#: shifts at a time, then refines the winner to SHIFT_XATOL grid spacings
+#: shifts at a time, then Brent refines the best node near it to SHIFT_XATOL grid spacings
 SCAN_STRIDE = 4
 SCAN_BLOCK = 16
 SHIFT_XATOL = 1e-6
+#: the rcosine modulation period of the radial corpus, fixed, not a share of the extent
+RCOSINE_PERIOD = 125.0
 
 
 def negative_part(V: GridFunction) -> GridFunction:
@@ -130,6 +132,38 @@ def _window_sums(u, lattice, weights, pnorm: float, stride: int) -> np.ndarray:
     return sums
 
 
+def _brent(f, seeds, xatol: float) -> float:
+    """The minimizer of f by Brent's bounded method (Brent 1973, ch. 5; scipy's stopping
+    rule) on the span of three (point, value) seeds, so the first step can be parabolic."""
+    (x, fx), (w, fw), (v, fv) = sorted(seeds, key=lambda t: t[1])
+    lo, hi = min(x, w, v), max(x, w, v)
+    d = e = hi - lo
+    while True:
+        xm, tol1 = 0.5 * (lo + hi), math.sqrt(2.2e-16) * abs(x) + xatol / 3.0
+        if abs(x - xm) <= 2.0 * tol1 - 0.5 * (hi - lo):
+            return x
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        p, q = ((x - v) * q - (x - w) * r) * (-1.0 if q > r else 1.0), 2.0 * abs(q - r)
+        if abs(e) > tol1 and abs(p) < abs(0.5 * q * e) and q * (lo - x) < p < q * (hi - x):
+            e, d = d, p / q  # parabolic
+            if min(x + d - lo, hi - x - d) < 2.0 * tol1:
+                d = math.copysign(tol1, xm - x)
+        else:
+            e = (lo if x >= xm else hi) - x
+            d = 0.5 * (3.0 - math.sqrt(5.0)) * e  # golden section
+        u = x + math.copysign(max(abs(d), tol1), d)
+        fu = f(u)
+        if fu <= fx:
+            lo, hi = (x, hi) if u >= x else (lo, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            lo, hi = (u, hi) if u < x else (lo, u)
+            if fu <= fw:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv:
+                v, fv = u, fu
+
+
 def _branch_distance(
     vneg: GridFunction, exps: Exponents, gs: GroundState, power: bool, members=None
 ):
@@ -140,42 +174,42 @@ def _branch_distance(
     ||(b^2 V0(b .))^m||_r = b^(2m - d/r) ||V0^m||_r, and ||V0^m||_r = 1
     because (q-2) p = q.  Radial grids are centered by construction, so
     a = 0 there.  On line grids every node shift of W_- is a window of one
-    lattice sample (W_-(x_i - x_j) = b^2 V0_-(b h |i - j|)).  Window sums at
-    every SCAN_STRIDE-th node only rank the shifts; Brent's bounded method
-    refines the winner on the exact objective, so the result is an exact
-    evaluation and never above the coarse winner's value.  A dict passed as
+    lattice sample (W_-(x_i - x_j) = b^2 V0_-(b h |i - j|)).  The window sums
+    rank the shifts; Brent refines the best node j near the strided winner from
+    j's direct row and its neighbours' sums (docs/derivations.md §5), on the
+    unrooted sum sum w |u - W_-^m|^r over exact members.  The distance is the
+    member at its result, never above j's direct sum.  A dict passed as
     members receives the W_- values of every member evaluated, keyed (b, a).
     """
-    from scipy.optimize import minimize_scalar
-
     grid, weights = vneg.grid, vneg.grid.quad_weights
     u, r = _branch_map(vneg.values, exps, power)
     denom = weighted_norm(u, weights, r)
     p, q, d = exps.p, exps.q, exps.d
     expo = 1.0 / (4.0 / (q - 2.0) - 2.0 * d / q) if power else p / (2.0 * p - d)
     b = denom**expo
-    members = {} if members is None else members
+    members, gaps = {} if members is None else members, {}
 
-    def objective(a):
+    def gap(a):  # |u - W_-^m| at shift a
         w = members[b, a] = _family_neg(gs, grid, b, a)
-        w, _ = _branch_map(w, exps, power)
-        return weighted_norm(np.abs(u - w), weights, r) / denom
+        return gaps.setdefault(a, np.abs(u - _branch_map(w, exps, power)[0]))
 
-    if grid.kind == "radial":
-        return objective(0.0), 0.0, b
-
-    n, h = grid.n, grid.spacing
-    # l_k for k >= 0, mirrored: b h |k| is the same float on both sides
-    half, _ = _branch_map(b**2 * gs._v0neg(b * h * np.arange(n)), exps, power)
-    lattice = np.concatenate((half[:0:-1], half))
-    sums = _window_sums(u, lattice, weights, r, SCAN_STRIDE)
-    a0 = float(grid.nodes[SCAN_STRIDE * int(np.argmin(sums))])
-    bracket = (a0 - SCAN_STRIDE * h, a0 + SCAN_STRIDE * h)
-    res = minimize_scalar(
-        objective, bounds=bracket, method="bounded", options={"xatol": SHIFT_XATOL * h}
-    )
-    dist, a = min((objective(a0), a0), (float(res.fun), float(res.x)))
-    return dist, a, b
+    a = 0.0  # radial grids are centered
+    if grid.kind == "line":
+        n, h, fine = grid.n, grid.spacing, r == 2.0
+        # l_k for k >= 0, mirrored: b h |k| is the same float on both sides
+        half, _ = _branch_map(b**2 * gs._v0neg(b * h * np.arange(n)), exps, power)
+        lattice = np.concatenate((half[:0:-1], half))
+        sums = _window_sums(u, lattice, weights, r, 1 if fine else SCAN_STRIDE)
+        k = SCAN_STRIDE * int(np.argmin(sums[::SCAN_STRIDE] if fine else sums))
+        # nodes lo .. hi - 1: the bracket k +- SCAN_STRIDE, kept off the grid's ends, and one more each side
+        lo, hi = max(k - SCAN_STRIDE, 1) - 1, min(k + SCAN_STRIDE, n - 2) + 2
+        rows = sliding_window_view(lattice, n)[::-1][lo:hi]
+        f = sums[lo:hi] if fine else _dot(np.abs(u - rows) ** r, weights)
+        i = 1 + int(np.argmin(f[1:-1]))
+        f[i] = _dot(np.abs(u - rows[i]) ** r, weights)  # direct, not the FFT's noise
+        seeds = [(float(grid.nodes[lo + t]), float(f[t])) for t in (i - 1, i, i + 1)]
+        a = _brent(lambda s: _dot(weights, gap(s) ** r), seeds, SHIFT_XATOL * h)
+    return weighted_norm(gaps[a] if a in gaps else gap(a), weights, r) / denom, a, b
 
 
 def distance_to_manifold(V: GridFunction, gamma: float, d: int, gs: GroundState):
@@ -365,7 +399,7 @@ def radial_sweep_corpus(grid: Grid, gs: GroundState):
     for s in np.linspace(0.8, 1.6, 6):
         out.append(("rdepth", float(s), GridFunction(grid, s * W)))
     for eps in np.linspace(0.05, 0.3, 6):
-        mod = 1.0 + eps * np.cos(2.0 * math.pi * r / (0.5 * grid.extent))
+        mod = 1.0 + eps * np.cos(2.0 * math.pi * r / RCOSINE_PERIOD)
         out.append(("rcosine", float(eps), GridFunction(grid, 1.2 * W * mod)))
     return out
 

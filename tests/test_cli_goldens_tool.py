@@ -73,3 +73,10 @@ def test_numbers_and_stderr_are_both_reported():
 
 def test_the_truncating_constants_run_is_a_golden():
     assert "constants --gamma 1 --d 3" in _tool().COMMANDS
+
+
+def test_both_blocked_scans_are_goldens():
+    # p = 3 scans through the power map, p = 3/2 on the low branch without it
+    commands = _tool().COMMANDS
+    assert "stability-sweep --gamma 2.5 --d 1 --format csv" in commands
+    assert "stability-sweep --gamma 1 --d 1 --format csv" in commands

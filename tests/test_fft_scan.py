@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from eigstab.grid import GridFunction
+from eigstab import stability
+from eigstab.grid import Grid, GridFunction
 from eigstab.groundstate import Exponents, GroundState, optimal_potential
 from eigstab.measure import weighted_norm
 from eigstab.stability import (
@@ -54,10 +55,27 @@ def _corpus(grid, a):
     return [GridFunction(grid, V.values) for _, _, V in line_sweep_corpus(shifted)]
 
 
+def _record_seeds(monkeypatch):
+    """The (point, value) seeds of every refinement, in call order."""
+    seeds = []
+    brent = stability._brent
+
+    def recorded(f, triple, xatol):
+        seeds.append(triple)
+        return brent(f, triple, xatol)
+
+    monkeypatch.setattr(stability, "_brent", recorded)
+    return seeds
+
+
 @pytest.mark.parametrize("a", [0.0, 1.2345])
-def test_strided_argmin_matches_brute_force_on_corpus(line_grid, gs_q4_d1, a):
+def test_strided_argmin_matches_brute_force_on_corpus(monkeypatch, line_grid, gs_q4_d1, a):
     # the correlation sums only rank the shifts: their coarse winner must be
-    # the direct sums' winner on every corpus member
+    # the direct sums' winner on every corpus member, and so must the node
+    # within SCAN_STRIDE of it that seeds the refinement, up to a tie within
+    # the FFT's rounding, 6.3e-15 sum w u^2 at worst (the symmetric members at
+    # a = 0 tie at +-h/2)
+    seeds = _record_seeds(monkeypatch)
     exps = Exponents.from_gamma(1.5, 1)
     n, h, w = line_grid.n, line_grid.spacing, line_grid.quad_weights
     v0 = gs_q4_d1._v0neg
@@ -68,16 +86,32 @@ def test_strided_argmin_matches_brute_force_on_corpus(line_grid, gs_q4_d1, a):
         fast = _window_sums(vneg.values, lattice, w, 2.0, SCAN_STRIDE)
         slow = _brute_sums(vneg.values, lattice, w, 2.0, SCAN_STRIDE)
         assert np.argmin(fast) == np.argmin(slow)
+        k = SCAN_STRIDE * int(np.argmin(slow))
+        near = range(max(k - SCAN_STRIDE, 1), min(k + SCAN_STRIDE, n - 2) + 1)
+        rows = sliding_window_view(lattice, n)[::-1]
+        direct = {t: w @ (vneg.values - rows[t]) ** 2 for t in near}
+        seed = int(np.flatnonzero(line_grid.nodes == seeds[-1][1][0])[0])
+        assert seed in direct
+        assert direct[seed] - min(direct.values()) <= 1e-14 * (w @ vneg.values**2)
+
+
+# a node of the line grid (20, 4000): with the exact optimizer there, the
+# best node's FFT sum is rounding noise (-3e-16 at b = 1 with numpy's FFT),
+# so only a direct row gives the seed's middle value its sign
+ON_NODE = float(Grid.line(20.0, 4000).nodes[1000])
 
 
 @pytest.mark.parametrize("b", [1.0, 1.7])
-@pytest.mark.parametrize("a", [0.37, -3.1234])
-def test_exact_optimizer_found_off_the_nodes(line_grid, gs_q4_d1, a, b):
+@pytest.mark.parametrize("a", [0.37, -3.1234, ON_NODE])
+def test_exact_optimizer_found_off_the_nodes(monkeypatch, line_grid, gs_q4_d1, a, b):
+    seeds = _record_seeds(monkeypatch)
     V = optimal_potential(gs_q4_d1, b, a, line_grid)
     rep = stability_report(V, 1.5, 1, gs_q4_d1)
     assert rep.distance < 1e-6
     assert abs(rep.matched_a - a) < 1e-6
     assert rep.matched_b == pytest.approx(b, rel=1e-7)
+    # every seed is a sum of squares
+    assert len(seeds) == 1 and min(value for _, value in seeds[0]) >= 0.0
 
 
 @pytest.mark.parametrize("b", [1.0, 1.7])

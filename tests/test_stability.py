@@ -8,6 +8,7 @@ from conftest import solve_quiet
 
 from eigstab.exceptions import DegenerateInputError, InvalidExponentError
 from eigstab.grid import Grid, GridFunction
+from eigstab.groundstate import optimal_potential
 from eigstab.spectral import lowest_eigenpair
 from eigstab.stability import (
     deficit,
@@ -228,6 +229,25 @@ def test_radial_corpus_composition(gs_q103_d3):
         assert np.all(V.values <= 0.0)
 
 
+def test_radial_modulation_does_not_depend_on_the_extent(gs_q103_d3):
+    # at equal h the extents 250 and 500 share their first 4000 nodes; the
+    # rcosine factor V / (1.2 W) must agree there
+    narrow, wide = Grid.radial(3, 250.0, 4000), Grid.radial(3, 500.0, 8000)
+    factors = []
+    for grid in (narrow, wide):
+        W = optimal_potential(gs_q103_d3, grid=grid).values[:4000]
+        kept = W != 0.0
+        factors.append([
+            V.values[:4000][kept] / (1.2 * W[kept])
+            for fam, _, V in radial_sweep_corpus(grid, gs_q103_d3)
+            if fam == "rcosine"
+        ])
+    assert np.array_equal(narrow.nodes, wide.nodes[:4000])
+    assert len(factors[0]) == 6
+    for mod_narrow, mod_wide in zip(*factors):
+        assert mod_wide == pytest.approx(mod_narrow, rel=1e-14, abs=0.0)
+
+
 def test_sweep_output_formats(gs_q103_d3):
     corpus = radial_sweep_corpus(gs_q103_d3.grid, gs_q103_d3)[:3]
     res = run_sweep(corpus, 1.0, 3, gs_q103_d3)
@@ -248,6 +268,30 @@ def _translated_corpus_member(grid, index, a):
     shifted = copy.copy(grid)
     object.__setattr__(shifted, "nodes", grid.nodes - a)
     return GridFunction(grid, line_sweep_corpus(shifted)[index][2].values)
+
+
+def test_line_report_evaluates_few_members(monkeypatch, line_grid, gs_q4_d1):
+    # the refinement starts from the scan's own sums, so a report evaluates
+    # about 6 exact members of the family; an unseeded bounded Brent took ~10
+    from eigstab import stability
+
+    calls = []
+    family = stability._family_neg
+
+    def counted(*args):
+        calls.append(args)
+        return family(*args)
+
+    monkeypatch.setattr(stability, "_family_neg", counted)
+    reports = 0
+    for a in (0.0, 1.2345, -0.777):
+        shifted = copy.copy(line_grid)
+        object.__setattr__(shifted, "nodes", line_grid.nodes - a)
+        for _, _, V in line_sweep_corpus(shifted):
+            stability_report(GridFunction(line_grid, V.values), 1.5, 1, gs_q4_d1)
+            reports += 1
+    assert reports == 180
+    assert len(calls) / reports <= 7.0
 
 
 def _dense_minimum(V, gamma, gs, rep):

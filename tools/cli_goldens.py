@@ -38,7 +38,8 @@ import numpy as np
 #: thread count (docs/derivations.md §11); the sweep also
 #: runs once in its default JSON format, the summary path, and once at
 #: gamma = 2.5 (p = 3), the high branch, whose line scans take the blocked
-#: (non-FFT) window sums; the last sweep passes --p, a flag the sweep does
+#: (non-FFT) window sums, and at gamma = 1 (p = 3/2), the low branch's
+#: blocked scan with no power map; the last sweep passes --p, a flag the sweep does
 #: not read, which is refused with exit 2; each holder-verify run spans
 #: more than one of the fuzzer's chunks, 1003 samples end in a partial chunk
 #: and --p 3 checks one exponent; the last constants run is on a default
@@ -54,6 +55,7 @@ COMMANDS = (
     "stability-sweep --gamma 1.5 --d 1",
     "stability-sweep --gamma 1.5 --d 1 --format csv",
     "stability-sweep --gamma 2.5 --d 1 --format csv",
+    "stability-sweep --gamma 1 --d 1 --format csv",
     "stability-sweep --d 3 --grid-l 250 --grid-n 4000 --format csv",
     "stability-sweep --gamma 1.5 --d 1 --p 3",
     "convergence",
