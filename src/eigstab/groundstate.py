@@ -402,15 +402,25 @@ def solve_ground_state(q: float, d: int, grid: Grid) -> GroundState:
 def profile_interpolant(gs: GroundState):
     """Callable Q(r) for r >= 0, cubic off-node, 0 beyond the grid.
 
-    The natural CubicSpline only supplies the coefficients.  The interval of
-    x comes from the uniform knots by arithmetic, corrected by one either
-    way to scipy's rule r[i] <= x < r[i+1] (the last interval closed), and
-    the cubic is summed in scipy's order, so every value is the spline's
-    bit for bit (derivations §5)."""
-    from scipy.interpolate import CubicSpline
+    The coefficients are scipy's natural CubicSpline's, built as it builds
+    them: the knot slopes s from its tridiagonal system (its zero boundary
+    terms kept, so every operand is scipy's), solved by the LAPACK gtsv its
+    solve_banded calls, then CubicHermiteSpline's formulas.  The interval of x comes from the uniform knots by arithmetic,
+    corrected by one either way to scipy's rule r[i] <= x < r[i+1] (the last
+    interval closed), and the cubic is summed in scipy's order, so every
+    value is the spline's bit for bit (derivations §5)."""
+    from scipy.linalg.lapack import dgtsv
 
-    r = gs.grid.nodes
-    coef = CubicSpline(r, gs.Q.values, bc_type="natural").c.T.copy()  # rows c0 s^3 .. c3
+    r, y = gs.grid.nodes, gs.Q.values
+    dx = np.diff(r)
+    slope = np.diff(y) / dx
+    diag = np.r_[2 * dx[0], 2 * (dx[:-1] + dx[1:]), 2 * dx[-1]]
+    rhs = np.r_[-0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0]),
+                3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+                0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])]
+    s = dgtsv(np.r_[dx[1:], dx[-1]], diag, np.r_[dx[0], dx[:-1]], rhs)[3]
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    coef = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]), axis=1)  # rows c0 s^3 .. c3
     coef[:, 3] += 0.0  # scipy's sum starts at 0.0, which turns a -0.0 c3 into +0.0
     r0, rmax, inv_h = r[0], r[-1], 1.0 / gs.grid.spacing
     # r[i] and r[i+1] with inf past the last interval, which is closed

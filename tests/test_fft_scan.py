@@ -142,17 +142,18 @@ def _fresh(gs):
 
 
 def test_reports_share_one_spline(monkeypatch, line_grid, gs_q4_d1):
-    import scipy.interpolate
+    # a spline is one coefficient solve, the gtsv profile_interpolant imports
+    import scipy.linalg.lapack as lapack
 
     built = []
-    spline = scipy.interpolate.CubicSpline
+    gtsv = lapack.dgtsv
 
     def counting(*args, **kwargs):
         built.append(1)
-        return spline(*args, **kwargs)
+        return gtsv(*args, **kwargs)
 
     gs = _fresh(gs_q4_d1)
-    monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting)
+    monkeypatch.setattr(lapack, "dgtsv", counting)
     V1 = optimal_potential(gs, 1.3, 0.25, line_grid)
     V2 = line_sweep_corpus(line_grid)[40][2]
     reps = [stability_report(V, 1.5, 1, gs) for V in (V1, V2)]

@@ -1,6 +1,8 @@
 """SciPy's linear algebra and special functions are imported where they are
 used, so ``import eigstab`` and a command that solves no eigenproblem do not
-load them."""
+load them; and a stability report, line or radial, loads neither
+``scipy.interpolate`` nor ``scipy.optimize``: the profile spline is one
+LAPACK solve and the shift refinement is the package's own loop."""
 
 import os
 import subprocess
@@ -18,6 +20,24 @@ code = eigstab.cli.main(["holder-verify", "--samples", "20", "--seed", "0", "--o
 print(code, *[m for m in heavy if m in sys.modules])
 """
 
+REPORTS = """
+import copy, sys, warnings
+import numpy as np
+from eigstab import Grid, GridFunction, solve_ground_state, stability_report
+from eigstab.stability import line_sweep_corpus, radial_sweep_corpus
+warnings.simplefilter("ignore")
+gs = solve_ground_state(4.0, 1, Grid.radial(1, 20.0, 4000))
+line = Grid.line(20.0, 4000)
+shifted = copy.copy(line)
+object.__setattr__(shifted, "nodes", line.nodes - 0.777)
+V = GridFunction(line, line_sweep_corpus(shifted)[17][2].values)
+line_rep = stability_report(V, 1.5, 1, gs)
+gs3 = solve_ground_state(10.0 / 3.0, 3, Grid.radial(3, 250.0, 4000))
+radial_rep = stability_report(radial_sweep_corpus(gs3.grid, gs3)[3][2], 1.0, 3, gs3)
+assert np.isfinite([line_rep.distance, radial_rep.distance]).all()
+print(*[m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modules])
+"""
+
 
 def test_import_and_holder_verify_leave_scipy_linalg_unloaded(tmp_path):
     proc = subprocess.run(
@@ -26,3 +46,12 @@ def test_import_and_holder_verify_leave_scipy_linalg_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["", "0"]
+
+
+def test_reports_leave_scipy_interpolate_and_optimize_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", REPORTS],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [""]

@@ -1,13 +1,17 @@
-"""The profile kernel (CubicSpline's coefficients, its interval found from
-the uniform knots), the mirrored shift lattice, the matched member kept
-for the transfer sides, the cached row sums, and the ground pair started
-from sqrt(w V_-) (docs/derivations.md §5 and §10)."""
+"""The profile kernel (the natural spline's coefficients from one LAPACK
+gtsv solve, its interval found from the uniform knots), checked bit for
+bit against scipy's CubicSpline, on the solved fixtures and on edge
+profiles; the mirrored shift lattice, the matched member kept for the
+transfer sides, the cached row sums, and the ground pair started from
+sqrt(w V_-) (docs/derivations.md §5 and §10)."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from eigstab import spectral, stability
-from eigstab.grid import GridFunction, _Tridiag, symmetric_tridiagonal
+from eigstab.grid import Grid, GridFunction, _Tridiag, symmetric_tridiagonal
 from eigstab.groundstate import Exponents, _family_neg, profile_interpolant
 from eigstab.measure import weighted_norm
 from eigstab.stability import (
@@ -44,6 +48,47 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("fixture", FIXTURES)
 def test_kernel_is_the_spline_bit_for_bit(request, fixture):
     gs = request.getfixturevalue(fixture)
+    r = gs.grid.nodes
+    r0, rmax = r[0], r[-1]
+    new, old = profile_interpolant(gs), _spline_reference(gs)
+    inputs = [
+        r,
+        np.nextafter(r, np.inf),
+        np.nextafter(r, -np.inf),
+        -r,
+        np.array([0.0, r0 / 2, rmax, np.nextafter(rmax, np.inf), 1.5 * rmax]),
+        np.array([np.inf, -np.inf, np.nan, -0.0]),
+        np.random.default_rng(5).uniform(-1.2 * rmax, 1.2 * rmax, (300, 40)),
+    ]
+    for x in inputs:
+        assert _same_bits(new(x), old(x))
+    for x in (0.3 * rmax, 0.0, rmax, np.float64(r[7]), np.array(r0 / 2), np.nan):
+        a, b = new(x), old(x)
+        assert type(a) is type(b)
+        assert _same_bits(a, b)
+
+
+def _edge_profile(case):
+    if case == "zero_tail":
+        # n = 16, the smallest grid: an exact-zero tail that holds a -0.0,
+        # so rows of the slope system have a signed-zero right-hand side
+        grid = Grid.radial(1, 5.0, 16)
+        values = np.r_[np.exp(-grid.nodes[:8]), np.zeros(8)]
+        values[[11, 15]] = -0.0
+    elif case == "signed":
+        grid = Grid.radial(1, 5.0, 16)
+        values = np.random.default_rng(11).normal(size=16)
+    else:  # a d = 2 grid with odd n
+        grid = Grid.radial(2, 7.0, 3001)
+        values = np.exp(-grid.nodes) * (1.0 + 0.1 * np.cos(3.0 * grid.nodes))
+    return GridFunction(grid, values)
+
+
+@pytest.mark.parametrize("case", ["zero_tail", "signed", "d2_odd_n"])
+def test_kernel_is_the_spline_bit_for_bit_at_the_edges(gs_q4_d1, case):
+    # the inputs of test_kernel_is_the_spline_bit_for_bit, on profiles no
+    # solve produces
+    gs = dataclasses.replace(gs_q4_d1, Q=_edge_profile(case))
     r = gs.grid.nodes
     r0, rmax = r[0], r[-1]
     new, old = profile_interpolant(gs), _spline_reference(gs)
