@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,9 +55,14 @@ def csv_text(header, rows) -> str:
 
 
 def surface_area(d: int) -> float:
-    """Area of the unit sphere S^(d-1): 2 pi^(d/2) / Gamma(d/2)."""
-    from scipy.special import gamma as gamma_fn
-    return float(2.0 * np.pi ** (d / 2.0) / gamma_fn(d / 2.0))
+    """Area of the unit sphere S^(d-1): 2 pi^(d/2) / Gamma(d/2), with
+    Gamma(d/2) by Gamma(x + 1) = x Gamma(x) from Gamma(1/2) = sqrt(pi) or
+    Gamma(1) = 1 (bit for bit scipy.special.gamma's value for d <= 6)."""
+    gamma_half_d, x = (math.sqrt(math.pi), 0.5) if d % 2 else (1.0, 1.0)
+    while x < d / 2.0:
+        gamma_half_d *= x
+        x += 1.0
+    return float(2.0 * np.pi ** (d / 2.0) / gamma_half_d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +245,7 @@ class _Tridiag:
         self.main = np.asarray(main, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
         self.n = self.main.size
-        self._shift = None  # (sigma, LU factors, (z, 1 + rho u.z) or None)
+        self._shift = None  # _factor's (sigma, solve, (z, 1 + rho u.z) or None)
         self.rank1 = None
         if rank1 is not None:
             rho, u = rank1
@@ -284,31 +290,48 @@ class _Tridiag:
             out += rho * _dot(u, v) ** 2
         return float(out)
 
-    def solve_shifted(self, sigma, rhs):
-        """(A - sigma I)^(-1) rhs by tridiagonal LU (LAPACK dgttrf) and
-        Sherman-Morrison.  The factors of the last shift, the column
-        z = (T - sigma I)^(-1) u and 1 + rho u.z are kept: a later solve is
-        one back substitution, bit for bit a fresh factorization's result.
-        Non-finite input raises ValueError, a singular pivot LinAlgError."""
-        from scipy.linalg.lapack import dgttrf, dgttrs
-        rhs = np.asarray(rhs, dtype=float)
-        if not np.isfinite(rhs).all():
-            raise ValueError("right-hand side must not contain infs or NaNs")
+    def _factor(self, sigma):
+        """(sigma, solve, sm): T - sigma I factored by tridiagonal LU (LAPACK
+        dgttrf) unless sigma is the last shift, solve(b) = (T - sigma I)^(-1) b
+        and sm = (z, 1 + rho u.z) with z = solve(u), or None.  When dgttrf
+        swapped no rows its (d, dl) are the L D L^T factors, which dpttrs
+        solves with; else dgttrs solves (derivations §10)."""
+        from scipy.linalg.lapack import dgttrf, dgttrs, dpttrs
         if self._shift is None or self._shift[0] != sigma:
             diag = self.main - sigma
             if not (np.isfinite(diag).all() and np.isfinite(self.upper).all()):
                 raise ValueError("matrix must not contain infs or NaNs")
-            *lu, info = dgttrf(self.upper, diag, self.upper)
+            dl, d, du, du2, ipiv, info = dgttrf(self.upper, diag, self.upper)
             if info > 0:
                 raise np.linalg.LinAlgError("singular matrix")
+            if np.array_equal(ipiv, np.arange(1, self.n + 1)):
+                solve = lambda b: dpttrs(d, dl, b)[0]
+            else:
+                solve = lambda b: dgttrs(dl, d, du, du2, ipiv, b)[0]
             sm = None
             if self.rank1 is not None:
                 rho, u = self.rank1
-                z = dgttrs(*lu, u)[0]
+                z = solve(u)
                 sm = (z, 1.0 + rho * _dot(u, z))
-            self._shift = (sigma, lu, sm)
-        _, lu, sm = self._shift
-        y = dgttrs(*lu, rhs)[0]
+            self._shift = (sigma, solve, sm)
+        return self._shift
+
+    def rank1_denominator(self, sigma) -> float:
+        """1 + rho u.(T - sigma I)^(-1) u from the factors of sigma: the
+        Sherman-Morrison denominator, and the Haynsworth term of an
+        inertia count (derivations §10)."""
+        return self._factor(sigma)[2][1]
+
+    def solve_shifted(self, sigma, rhs):
+        """(A - sigma I)^(-1) rhs by _factor's solve and Sherman-Morrison: a
+        later solve at the same shift is one back substitution, bit for bit
+        a fresh factorization's result.  Non-finite input raises ValueError,
+        a singular pivot LinAlgError."""
+        rhs = np.asarray(rhs, dtype=float)
+        if not np.isfinite(rhs).all():
+            raise ValueError("right-hand side must not contain infs or NaNs")
+        _, solve, sm = self._factor(sigma)
+        y = solve(rhs)
         if sm is None:
             return y
         rho, u = self.rank1

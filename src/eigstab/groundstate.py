@@ -125,9 +125,9 @@ def gns_energy(psi: GridFunction, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _sech_integral(m: float) -> float:
-    """int_R sech^m(u) du = sqrt(pi) Gamma(m/2) / Gamma((m+1)/2)."""
-    from scipy.special import gamma as gamma_fn
-    return float(math.sqrt(math.pi) * gamma_fn(m / 2.0) / gamma_fn((m + 1.0) / 2.0))
+    """int_R sech^m(u) du = sqrt(pi) Gamma(m/2) / Gamma((m+1)/2), by lgamma,
+    so that the ratio stays finite where both Gammas overflow (m > 343)."""
+    return math.sqrt(math.pi) * math.exp(math.lgamma(m / 2.0) - math.lgamma((m + 1.0) / 2.0))
 
 
 def keller_parameters(q: float):
@@ -249,19 +249,20 @@ def _second_variation(grid: Grid, q: float, psi, norm_q: float, energy: float, e
     return (*symmetric_tridiagonal(grid, ell, veff), rank1, veff)
 
 
-def _petviashvili(grid: Grid, q: float) -> np.ndarray:
+def _petviashvili(grid: Grid, q: float, u0=None) -> np.ndarray:
     """Positive solution of the parameter-free equation -Lap u + u = u^(q-1).
 
     Fixed-point iteration u <- gamma^alpha (-Lap + 1)^(-1) u^(q-1), alpha =
     (q-1)/(q-2), gamma = <(-Lap+1)u, u> / <u^(q-1), u>, which is 1 at the fixed
-    point; it runs on v = sqrt(w) u with the symmetric A + I and returns u.  It
+    point; it runs on v = sqrt(w) u with the symmetric A + I and returns u,
+    starting from the nodal values u0 (default: the Gaussian 2 e^(-r^2/2)).  It
     stops on |gamma - 1| < 1e-12 alone, since u only seeds Newton through an
     O(h^2) interpolation, and the certificate after Newton gates the residual.
     """
     sw = np.sqrt(grid.quad_weights)
     A = _Tridiag(*symmetric_tridiagonal(grid, 0))
     alpha = (q - 1.0) / (q - 2.0)
-    v = sw * (2.0 * np.exp(-(grid.nodes**2) / 2.0))
+    v = sw * (2.0 * np.exp(-(grid.nodes**2) / 2.0) if u0 is None else u0)
     for _ in range(500):
         rhs = sw * (v / sw) ** (q - 1.0)  # sqrt(w) u^(q-1), so v.rhs = sum w u^q
         mv = A.matvec(v)
@@ -289,12 +290,14 @@ def _petviashvili(grid: Grid, q: float) -> np.ndarray:
 def _unit_seed(q: float, d: int):
     """(unit grid, u, s, change): _petviashvili's u on the unit-scale grid, the
     scale s of the unit-mass minimizer (see solve_ground_state), and the
-    relative change of s^2 at the last doubling of n (inf if none)."""
+    relative change of s^2 at the last doubling of n (inf if none).  Each
+    doubled grid starts from the last grid's u (derivations §3)."""
     extent = min(max(SEED_EXTENT, 30.0 + 2.0 / (q - 2.0)), 1000.0)
-    n, prev = SEED_N, None
+    n, prev, unit, u = SEED_N, None, None, None
     while True:
-        unit = Grid.radial(d, extent, n)
-        u = _petviashvili(unit, q)
+        fine = Grid.radial(d, extent, n)
+        u0 = None if unit is None else np.interp(fine.nodes, unit.nodes, u)
+        unit, u = fine, _petviashvili(fine, q, u0)
         s = float(_dot(unit.quad_weights, u**q)) ** (-(q - 2.0) / (2.0 * q - d * (q - 2.0)))
         change = math.inf if prev is None else abs(1.0 - (prev / s) ** 2)
         if change <= SEED_SETTLE or 2 * n > SEED_N_CAP:
@@ -421,7 +424,6 @@ def profile_interpolant(gs: GroundState):
     s = dgtsv(np.r_[dx[1:], dx[-1]], diag, np.r_[dx[0], dx[:-1]], rhs)[3]
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     coef = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]), axis=1)  # rows c0 s^3 .. c3
-    coef[:, 3] += 0.0  # scipy's sum starts at 0.0, which turns a -0.0 c3 into +0.0
     r0, rmax, inv_h = r[0], r[-1], 1.0 / gs.grid.spacing
     # r[i] and r[i+1] with inf past the last interval, which is closed
     lower, upper = np.r_[r[:-1], np.inf], np.r_[r[1:-1], np.inf]

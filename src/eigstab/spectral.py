@@ -6,8 +6,9 @@ iteration at shifts an LDL^T factorization certifies below the spectrum,
 which clusters of nearly degenerate low eigenvalues cannot fool.  More
 pairs, with or without a rank-one term, come from shift-invert Lanczos at
 a shift an inertia count (or that ground pair) certifies below the
-spectrum, polished and certified the k lowest by one more count, with
-tridiagonal LU factored once per shift and Sherman-Morrison solves.
+spectrum, polished where the residual gate refuses them and certified the
+k lowest by one more count, with tridiagonal LU factored once per shift
+(solved as L D L^T when it swaps no rows) and Sherman-Morrison solves.
 Everything is deterministic for fixed inputs.
 """
 
@@ -110,15 +111,15 @@ def _cold_ground_pair(A: _Tridiag, guess=None):
 def _count_below(A: _Tridiag, mu) -> int:
     """Eigenvalues of A = T + rho u u^T at or below mu by inertia, or -1 when
     T - mu is singular: the dstebz Sturm count of T, plus 1 if
-    1 + rho u.(T - mu)^(-1) u has the sign of rho, minus 1 if rho > 0
-    (Haynsworth; derivations §10)."""
+    1 + rho u.(T - mu)^(-1) u, A's own Sherman-Morrison denominator at mu,
+    has the sign of rho, minus 1 if rho > 0 (Haynsworth; derivations §10)."""
     from scipy.linalg.lapack import dstebz
     m = int(dstebz(A.main, A.upper, 1, -np.inf, mu, 0, 0, np.inf, "E")[0])
     rho, u = A.rank1 or (0.0, None)
     if rho == 0.0:
         return m
     try:
-        t = 1.0 + rho * float(_dot(u, _Tridiag(A.main, A.upper).solve_shifted(mu, u)))
+        t = A.rank1_denominator(mu)  # factors T - mu once, for the solves at mu too
     except np.linalg.LinAlgError:
         return -1
     return m + int(np.sign(t) == np.sign(rho)) - int(rho > 0.0)
@@ -137,7 +138,8 @@ def smallest_eigenpairs(
     orthonormal columns, eigs ascending, iterations None (ARPACK reports no
     count).  Shift-invert Lanczos to LANCZOS_TOL at a shift certified below
     the spectrum, Sherman-Morrison solves for the rank-one term (rank1=None
-    reads as rho = 0), one inverse-iteration polish per pair; then every
+    reads as rho = 0), each pair's Rayleigh quotient, and one
+    inverse-iteration polish for a pair past the gate; then every
     residual must pass _tol_eff(A), |V^T V - I| <= 1e-8, and exactly k
     eigenvalues lie at or below lambda_k + _tol_eff(A), else ConvergenceError.
     """
@@ -170,14 +172,19 @@ def smallest_eigenpairs(
     )
     order = np.argsort(eigs)
     eigs, vecs = eigs[order].copy(), vecs[:, order].copy()
-    # one inverse-iteration step at each Ritz value finishes the loose pair
+    # each Ritz vector's Rayleigh quotient; only a pair the gate refuses takes
+    # one inverse-iteration step at that quotient, which finishes the loose pair
+    tol_eff, residuals = _tol_eff(A), np.empty(k)
     for j in range(k):
-        step = _inverse_step(A, lambda b: A.solve_shifted(eigs[j], b), vecs[:, j])
-        if step is not None:
-            eigs[j], vecs[:, j] = step
-
-    residuals = np.array([_residual(A, eigs[j], vecs[:, j]) for j in range(k)])
-    tol_eff, worst = _tol_eff(A), float(residuals.max())
+        v = vecs[:, j] / np.sqrt(_dot(vecs[:, j], vecs[:, j]))
+        eigs[j], vecs[:, j] = A.quadratic_form(v), v
+        residuals[j] = _residual(A, eigs[j], v)
+        if not residuals[j] <= tol_eff:
+            step = _inverse_step(A, lambda b: A.solve_shifted(eigs[j], b), v)
+            if step is not None:
+                eigs[j], vecs[:, j] = step
+                residuals[j] = _residual(A, *step)
+    worst = float(residuals.max())
     if not worst <= tol_eff:
         fault = f"residual {worst:.3e} exceeds target {tol_eff:.3e}"
     elif not np.abs(_dot(vecs.T[:, None], vecs.T) - np.eye(k)).max() <= 1e-8:

@@ -1,7 +1,7 @@
 """The k lowest pairs close on a certificate: loose shift-invert Lanczos, one
-inverse-iteration polish per pair, then orthonormal vectors and one inertia
-count of exactly k eigenvalues below lambda_k + tol_eff
-(docs/derivations.md §10)."""
+inverse-iteration polish for each pair the residual gate refuses, then
+orthonormal vectors and one inertia count of exactly k eigenvalues below
+lambda_k + tol_eff (docs/derivations.md §10)."""
 
 import numpy as np
 import pytest

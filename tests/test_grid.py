@@ -27,6 +27,15 @@ def test_surface_area_closed_forms():
     assert surface_area(3) == pytest.approx(4.0 * np.pi)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_surface_area_is_scipys_bit_for_bit(d):
+    # Gamma(d/2) by recursion from Gamma(1/2) or Gamma(1): the radial weights
+    # are those of 2 pi^(d/2) / scipy.special.gamma(d/2)
+    from scipy.special import gamma
+
+    assert surface_area(d) == float(2.0 * np.pi ** (d / 2.0) / gamma(d / 2.0))
+
+
 def test_grid_construction_and_validation():
     g = Grid.line(10.0, 100)
     assert g.nodes[0] == pytest.approx(-10.0 + 0.1)

@@ -1,5 +1,7 @@
 """Profile solver against closed forms, shooting, and scaling identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,22 @@ def test_keller_profile_normalized():
         xs = np.linspace(-60.0, 60.0, 120001)
         mass = np.trapezoid(keller_profile(q, xs) ** 2, xs)
         assert mass == pytest.approx(1.0, rel=1e-10)
+
+
+def test_keller_parameters_near_q_2():
+    # beta = 2/(q-2) = 400: Gamma(beta q / 2) overflows, and the ratio of two
+    # Gammas was inf/inf = NaN, with a RuntimeWarning
+    q = 2.005
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        amp, kappa, energy = keller_parameters(q)
+    beta = 2.0 / (q - 2.0)
+    assert np.isfinite([amp, kappa, energy]).all() and amp > 0.0 and kappa > 0.0
+    assert energy == pytest.approx(-((beta * kappa) ** 2), rel=1e-14)
+    # the profile is sech^400(kappa x): unit mass on its own width
+    width = 1.0 / (kappa * np.sqrt(beta))
+    xs = np.linspace(-60.0 * width, 60.0 * width, 200001)
+    assert np.trapezoid(keller_profile(q, xs) ** 2, xs) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_solver_matches_closed_form(gs_q4_d1_wide):

@@ -22,8 +22,8 @@ def test_a_perturbed_closing_pair_fails_the_residual_gate(monkeypatch):
     # hand back what it had
     seed = groundstate._petviashvili
 
-    def perturbed(grid, q):
-        return seed(grid, q) * (1.0 + 1e-3 * np.cos(grid.nodes))
+    def perturbed(grid, q, u0=None):
+        return seed(grid, q, u0) * (1.0 + 1e-3 * np.cos(grid.nodes))
 
     monkeypatch.setattr(groundstate, "_petviashvili", perturbed)
     monkeypatch.setattr(groundstate, "NEWTON_STEP_TOL", 1.0)

@@ -31,8 +31,8 @@ def _solve(q, d, extent, n):
 def test_a_perturbed_seed_leaves_the_constant(request, monkeypatch, name, eps):
     seed = groundstate._petviashvili
 
-    def perturbed(grid, q):
-        return seed(grid, q) * (1.0 + eps * np.cos(grid.nodes))
+    def perturbed(grid, q, u0=None):
+        return seed(grid, q, u0) * (1.0 + eps * np.cos(grid.nodes))
 
     monkeypatch.setattr(groundstate, "_petviashvili", perturbed)
     want = request.getfixturevalue(name)
