@@ -279,10 +279,6 @@ def _cmd_hessian(cfg: argparse.Namespace) -> None:
     _emit(cfg, report.to_json())
     if report.anomalies:
         raise ContractViolation(report.anomalies[0])
-    if report.kernel_dim != cfg.d + 1:
-        raise ContractViolation(
-            f"kernel dimension {report.kernel_dim}, expected {cfg.d + 1}"
-        )
 
 
 def _cmd_stability_sweep(cfg: argparse.Namespace) -> None:

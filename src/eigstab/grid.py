@@ -78,6 +78,7 @@ class Grid(WeightedMeasure):
     n: int
     nodes: np.ndarray = field(init=False, repr=False)
     spacing: float = field(init=False)
+    sphere: float = field(init=False, repr=False)  # sigma: weights are sigma r^(d-1) h (1 on line grids)
 
     def __post_init__(self):
         if self.kind not in ("line", "radial"):
@@ -89,15 +90,13 @@ class Grid(WeightedMeasure):
         if self.kind == "line":
             if self.dim != 1:
                 raise ValueError("line grids are one-dimensional")
-            h = 2.0 * self.extent / self.n
-            nodes = -self.extent + (np.arange(self.n) + 0.5) * h
-            weights = np.full(self.n, h)
+            h, left, sphere = 2.0 * self.extent / self.n, -self.extent, 1.0
         else:
             if self.dim < 1:
                 raise ValueError("radial grids need dim >= 1")
-            h = self.extent / self.n
-            nodes = (np.arange(self.n) + 0.5) * h
-            weights = surface_area(self.dim) * nodes ** (self.dim - 1) * h
+            h, left, sphere = self.extent / self.n, 0.0, surface_area(self.dim)
+        nodes = left + (np.arange(self.n) + 0.5) * h
+        weights = sphere * nodes ** (self.dim - 1) * h
         # the ell = 0 Laplacian's row sums are at most 2^max(d, 2) / h^2; they
         # must stay below sqrt(float max) * eps, since LAPACK's tridiagonal
         # eigensolvers fail long before the entries overflow (derivations §10)
@@ -107,6 +106,7 @@ class Grid(WeightedMeasure):
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "spacing", h)
+        object.__setattr__(self, "sphere", sphere)
         object.__setattr__(self, "weights", weights)
         super().__post_init__()
 
@@ -138,11 +138,9 @@ class Grid(WeightedMeasure):
         return self.function(np.zeros(self.n))
 
     def edge_factors(self) -> np.ndarray:
-        """r^(d-1) at the n+1 cell edges (1 everywhere on line grids)."""
-        if self.kind == "line":
-            return np.ones(self.n + 1)
-        edges = np.arange(self.n + 1) * self.spacing
-        return edges ** (self.dim - 1)
+        """r^(d-1) at the n+1 cell edges r = k h: 1 everywhere when d = 1,
+        so on line grids too."""
+        return (np.arange(self.n + 1) * self.spacing) ** (self.dim - 1)
 
     def metadata(self) -> dict:
         return {
@@ -347,26 +345,19 @@ def laplacian_apply(f: GridFunction, ell: int = 0) -> GridFunction:
 
 
 def gradient_squared_integral(f: GridFunction) -> float:
-    """int |grad f|^2 via edge difference quotients.
+    """int |grad f|^2 via edge difference quotients: sigma times the sum of
+    e (f' at the edge)^2 h over the edges, one formula for both kinds.
 
     Consistent with the flux Laplacian: equals inner(f, laplacian_apply(f))
-    for functions respecting the boundary closures.  Line grids and the
-    outer boundary use Dirichlet ghosts; the r = 0 edge contributes
-    nothing (even closure).
+    for functions respecting the boundary closures.  An end left of the
+    origin (a line grid's -L) and the outer end use Dirichlet ghosts; the
+    r = 0 edge contributes nothing (even closure).
     """
-    grid = f.grid
-    h = grid.spacing
-    e = grid.edge_factors()
-    v = f.values
+    grid, v = f.grid, f.values
+    h, e = grid.spacing, grid.edge_factors()
     d = np.diff(v) / h
-    if grid.kind == "line":
-        inner_sum = _dot(d, d) * h
-        inner_sum += (v[0] / h) ** 2 * h + (v[-1] / h) ** 2 * h
-        return float(inner_sum)
-    sigma = surface_area(grid.dim)
-    total = _dot(e[1:-1], d**2) * h
-    total += e[-1] * (v[-1] / h) ** 2 * h  # Dirichlet at r = L
-    return float(sigma * total)
+    ends = e[0] * (grid.nodes[0] < 0.0) * (v[0] / h) ** 2 * h + e[-1] * (v[-1] / h) ** 2 * h
+    return float(grid.sphere * (_dot(e[1:-1], d**2) * h + ends))
 
 
 def h1_distance(f: GridFunction, g: GridFunction) -> float:

@@ -311,8 +311,8 @@ def solve_ground_state(q: float, d: int, grid: Grid) -> GroundState:
     The parameter-free equation is solved on a unit-scale grid refined until
     its scale settles (Petviashvili) and rescaled onto ``grid``; Newton on (Q, E) solves the
     profile equation with unit mass there.  Its own (E, Q), with no eigensolve,
-    must pass _certified as the ground pair of -Lap - (Q/||Q||_q)^(q-2): the
-    residual gate _tol_eff, then the inertia.  docs/derivations.md §3.
+    must be certified as the ground pair of -Lap - (Q/||Q||_q)^(q-2): the
+    residual gate _tol_eff, then the inertia of _certified.  docs/derivations.md §3.
     """
     exps = Exponents.from_q(q, d)
     if grid.kind != "radial" or grid.dim != d:
@@ -368,7 +368,7 @@ def solve_ground_state(q: float, d: int, grid: Grid) -> GroundState:
             best=GridFunction(grid, psi),
             residual=residual,
         )
-    if not _certified(A, energy, v, tol_eff):  # past the residual gate: the inertia refuses
+    if not _certified(A, energy, tol_eff):  # past the residual gate: the inertia refuses
         raise ConvergenceError(f"profile solve at E = {energy:.6g}: not its operator's ground pair")
     if energy >= 0.0:
         raise ConvergenceError("profile solve converged to E >= 0", residual=residual)
@@ -450,11 +450,9 @@ def profile_interpolant(gs: GroundState):
 
 
 def _family_neg(gs: GroundState, grid: Grid, b: float, a: float) -> np.ndarray:
-    """Nodal values of W_- for the member with parameters (b, a), from the
-    ground state's one profile interpolant."""
-    x = grid.nodes
-    arg = b * np.abs(x - a) if grid.kind == "line" else b * x
-    return b**2 * gs._v0neg(arg)
+    """Nodal values of W_-(x) = b^2 V0_-(b |x - a|) for the member (b, a),
+    from the ground state's one profile interpolant (radial grids: a = 0)."""
+    return b**2 * gs._v0neg(b * np.abs(grid.nodes - a))
 
 
 def optimal_potential(

@@ -32,7 +32,7 @@ from .grid import (
 )
 from .groundstate import GroundState, _second_variation, gns_energy, optimal_potential
 from .measure import _dot
-from .spectral import _tol_eff, smallest_eigenpairs
+from .spectral import _residual, _tol_eff, smallest_eigenpairs
 
 #: near-zero eigenvalue classification, relative to the physical scale
 #: max |Veff| of the channel (not the grid-dependent operator norm, which
@@ -72,12 +72,16 @@ class HessianChannel:
 
 def build_channel(gs: GroundState, ell: int) -> HessianChannel:
     """Assemble channel ell of H at gs and compute its CHANNEL_PAIRS lowest
-    eigenpairs; gs must pass solve_ground_state's gate, _tol_eff of -Lap + optimal_potential(gs)."""
-    tol_eff = _tol_eff(_Tridiag(*symmetric_tridiagonal(gs.grid, 0, optimal_potential(gs).values)))
-    if not gs.el_residual <= tol_eff:
+    eigenpairs; gs must pass solve_ground_state's gate, _tol_eff of
+    A = -Lap + optimal_potential(gs), both with its stored el_residual and
+    with ||A sqrt(w) Q - E sqrt(w) Q|| measured on A."""
+    A = _Tridiag(*symmetric_tridiagonal(gs.grid, 0, optimal_potential(gs).values))
+    tol_eff = _tol_eff(A)
+    measured = _residual(A, gs.E, np.sqrt(gs.grid.quad_weights) * gs.Q.values)
+    if not (gs.el_residual <= tol_eff and measured <= tol_eff):
         raise PreconditionError(
-            f"profile residual {gs.el_residual:.3e} exceeds {tol_eff:.3e}; "
-            "re-solve on a coarser or cleaner grid"
+            f"profile residual {gs.el_residual:.3e} (stored), {measured:.3e} (measured) "
+            f"exceeds {tol_eff:.3e}; re-solve on a coarser or cleaner grid"
         )
     diag, off, rank1, Veff = _second_variation(gs.grid, gs.q, gs.Q.values, gs.norm_q, gs.E, ell)
     eigs, vecs, _, _ = smallest_eigenpairs(diag, off, k=CHANNEL_PAIRS, rank1=rank1)

@@ -68,20 +68,22 @@ def _tol_eff(A: _Tridiag) -> float:
     return max(DEFAULT_TOL, 50.0 * np.finfo(float).eps * A.opnorm)
 
 
-def _certified(A: _Tridiag, lam, v, tol_eff) -> bool:
-    """||A v - lam v|| <= tol_eff and A - (lam - tol_eff) I positive
-    definite (dpttrf): 0 <= lam - lambda_0 < tol_eff (derivations §10)."""
+def _certified(A: _Tridiag, lam, tol_eff) -> bool:
+    """The inertia half of the certificate: A - (lam - tol_eff) I positive
+    definite (dpttrf).  After the caller's residual gate ||A v - lam v|| <=
+    tol_eff it puts 0 <= lam - lambda_0 < tol_eff (derivations §10)."""
     from scipy.linalg.lapack import dpttrf
-    return _residual(A, lam, v) <= tol_eff and dpttrf(A.main - (lam - tol_eff), A.upper)[2] == 0
+    return dpttrf(A.main - (lam - tol_eff), A.upper)[2] == 0
 
 
 def _cold_ground_pair(A: _Tridiag, guess=None):
-    """Certified lowest pair (lam, unit vector) of the symmetric tridiagonal
-    A by inverse iteration from guess (default: the ones vector), at shifts
-    dpttrf certifies below lambda_0 (derivations §10), closed one step past
-    the gate _tol_eff(A); ConvergenceError after INVERSE_CAP, or at once
-    from a zero or non-finite guess.  lowest_eigenpair passes sqrt(w V_-);
-    a guess costs steps, never the answer (derivations §10)."""
+    """Certified lowest pair (lam, unit vector, residual) of the symmetric
+    tridiagonal A by inverse iteration from guess (default: the ones vector),
+    at shifts dpttrf certifies below lambda_0 (derivations §10), closed one
+    step past the gate _tol_eff(A) by _certified; each step's residual
+    ||A v - lam v|| is measured once.  ConvergenceError after INVERSE_CAP,
+    or at once from a zero or non-finite guess.  lowest_eigenpair passes
+    sqrt(w V_-); a guess costs steps, never the answer (derivations §10)."""
     from scipy.linalg.lapack import dpttrf, dpttrs
     if not (np.isfinite(A.main).all() and np.isfinite(A.upper).all()):
         raise ValueError("matrix must not contain infs or NaNs")
@@ -95,9 +97,9 @@ def _cold_ground_pair(A: _Tridiag, guess=None):
         if step is None:
             break
         lam, v = step
-        if gated and _certified(A, lam, v, tol_eff):
-            return lam, v
         r = _residual(A, lam, v)
+        if gated and r <= tol_eff and _certified(A, lam, tol_eff):
+            return lam, v, r
         gated, shift = r <= tol_eff, lam - r
         while not gated and shift - sigma > tol_eff:  # past the gate sigma stays
             fd, fe, info = dpttrf(A.main - shift, A.upper)
@@ -213,7 +215,7 @@ def lowest_eigenpair(V: GridFunction) -> EigenPair:
     grid = V.grid
     A = _Tridiag(*symmetric_tridiagonal(grid, 0, V.values))
     start = np.sqrt(grid.quad_weights * np.maximum(-V.values, 0.0))
-    lam, v = _cold_ground_pair(A, start if start.any() else None)
+    lam, v, residual = _cold_ground_pair(A, start if start.any() else None)
     psi_vals = v / np.sqrt(grid.quad_weights)  # unit in the quadrature L2 norm, as v is
     peak = np.argmax(np.abs(psi_vals))
     if psi_vals[peak] < 0.0:
@@ -221,7 +223,7 @@ def lowest_eigenpair(V: GridFunction) -> EigenPair:
     return EigenPair(
         lam=lam,
         psi=GridFunction(grid, psi_vals),
-        residual=_residual(A, lam, v),
+        residual=residual,
         iterations=None,
     )
 

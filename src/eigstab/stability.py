@@ -164,10 +164,9 @@ def _brent(f, seeds, xatol: float) -> float:
                 v, fv = u, fu
 
 
-def _branch_distance(
-    vneg: GridFunction, exps: Exponents, gs: GroundState, power: bool, members=None
-):
-    """(distance, a, b) in the low or high (power) branch; see distance_to_manifold.
+def _branch_distance(vneg: GridFunction, exps: Exponents, gs: GroundState, power: bool):
+    """(distance, a, b, W_-) in the low or high (power) branch, W_- the nodal
+    values of the member at (b, a); see distance_to_manifold.
 
     The branch maps V_- to u = V_-^m in L^r (m = 1, r = p low; m = 2/(q-2),
     r = q/2 high).  The scale b matches ||W_-^m||_r to ||u||_r in closed form:
@@ -178,8 +177,8 @@ def _branch_distance(
     rank the shifts; Brent refines the best node j near the strided winner from
     j's direct row and its neighbours' sums (docs/derivations.md §5), on the
     unrooted sum sum w |u - W_-^m|^r over exact members.  The distance is the
-    member at its result, never above j's direct sum.  A dict passed as
-    members receives the W_- values of every member evaluated, keyed (b, a).
+    member at its result, never above j's direct sum, and that member is
+    returned with it.
     """
     grid, weights = vneg.grid, vneg.grid.quad_weights
     u, r = _branch_map(vneg.values, exps, power)
@@ -187,11 +186,13 @@ def _branch_distance(
     p, q, d = exps.p, exps.q, exps.d
     expo = 1.0 / (4.0 / (q - 2.0) - 2.0 * d / q) if power else p / (2.0 * p - d)
     b = denom**expo
-    members, gaps = {} if members is None else members, {}
+    members = {}  # shift a -> (W_-, |u - W_-^m|) of each member evaluated
 
-    def gap(a):  # |u - W_-^m| at shift a
-        w = members[b, a] = _family_neg(gs, grid, b, a)
-        return gaps.setdefault(a, np.abs(u - _branch_map(w, exps, power)[0]))
+    def gap(a):
+        if a not in members:
+            w = _family_neg(gs, grid, b, a)
+            members[a] = w, np.abs(u - _branch_map(w, exps, power)[0])
+        return members[a][1]
 
     a = 0.0  # radial grids are centered
     if grid.kind == "line":
@@ -209,7 +210,7 @@ def _branch_distance(
         f[i] = _dot(np.abs(u - rows[i]) ** r, weights)  # direct, not the FFT's noise
         seeds = [(float(grid.nodes[lo + t]), float(f[t])) for t in (i - 1, i, i + 1)]
         a = _brent(lambda s: _dot(weights, gap(s) ** r), seeds, SHIFT_XATOL * h)
-    return weighted_norm(gaps[a] if a in gaps else gap(a), weights, r) / denom, a, b
+    return weighted_norm(gap(a), weights, r) / denom, a, b, members[a][0]
 
 
 def distance_to_manifold(V: GridFunction, gamma: float, d: int, gs: GroundState):
@@ -220,7 +221,7 @@ def distance_to_manifold(V: GridFunction, gamma: float, d: int, gs: GroundState)
     (2/(q-2))-power map in L^(q/2).  Returns (distance, a, b).
     """
     exps, vneg = _attractive_part(V, gamma, d, gs)
-    return _branch_distance(vneg, exps, gs, exps.p > 2.0)
+    return _branch_distance(vneg, exps, gs, exps.p > 2.0)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +273,7 @@ def stability_report(V: GridFunction, gamma: float, d: int, gs: GroundState) -> 
     exps, vneg = _attractive_part(V, gamma, d, gs)
     lam, ratio = _lambda_ratio(V, vneg, exps)
     dfc = gs.C_prime - ratio
-    members = {}
-    dist, a, b = _branch_distance(vneg, exps, gs, exps.p > 2.0, members)
+    dist, a, b, w_vals = _branch_distance(vneg, exps, gs, exps.p > 2.0)
     branch = "low" if exps.p <= 2.0 else "high"
     emp = None
     if dist >= DISTANCE_FLOOR:
@@ -282,13 +282,12 @@ def stability_report(V: GridFunction, gamma: float, d: int, gs: GroundState) -> 
     transfer = transfer_ratio = trans_lhs = trans_rhs = None
     if exps.p >= 2.0:
         # at p = 2 the power map is the identity, so the branch scan is the L^p scan
-        transfer, ap, bp = (
-            (dist, a, b) if exps.p == 2.0 else _branch_distance(vneg, exps, gs, False, members)
+        transfer, _, _, w_vals = (
+            (dist, a, b, w_vals) if exps.p == 2.0 else _branch_distance(vneg, exps, gs, False)
         )
         if transfer >= DISTANCE_FLOOR:
             transfer_ratio = dfc / (gs.C_prime * transfer ** (2.0 * gamma + d - 2.0))
         # both sides of the transfer comparison at the p-matched member, as its scan evaluated it
-        w_vals = members[bp, ap]
         weights = V.grid.quad_weights
         lp_diff = weighted_norm(np.abs(vneg.values - w_vals), weights, exps.p)
         trans_lhs = (1.0 / exps.p) * (lp_diff / 2.0) ** (exps.p - 1.0)

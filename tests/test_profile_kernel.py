@@ -143,7 +143,7 @@ def test_transfer_sides_at_the_member_the_scan_chose(request, line_grid, gamma, 
         a, b = (
             (rep.matched_a, rep.matched_b)
             if exps.p == 2.0
-            else stability._branch_distance(negative_part(V), exps, gs, False)[1:]
+            else stability._branch_distance(negative_part(V), exps, gs, False)[1:3]
         )
         vneg = negative_part(V).values
         member = _family_neg(gs, line_grid, b, a)
@@ -210,7 +210,7 @@ def test_no_attractive_part_starts_from_ones(line_grid, shape, lam_ones):
     x = line_grid.nodes
     V = GridFunction(line_grid, np.zeros_like(x) if shape == "zero" else 3.0 / np.cosh(x) ** 2)
     A = _Tridiag(*symmetric_tridiagonal(line_grid, 0, V.values))
-    lam, v = spectral._cold_ground_pair(A)
+    lam, v, _ = spectral._cold_ground_pair(A)
     pair = spectral.lowest_eigenpair(V)
     assert pair.lam == lam == lam_ones
     assert np.array_equal(np.abs(pair.psi.values), np.abs(v / np.sqrt(line_grid.quad_weights)))

@@ -150,8 +150,8 @@ def test_branch_consistency_at_p2(line_grid, gs_q4_d1):
     V = GridFunction(line_grid, -2.0 / np.cosh(x) ** 2 * (1.0 + 0.15 * np.cos(x)))
     exps = Exponents.from_gamma(1.5, 1)
     vneg = negative_part(V)
-    d_low, _, b_low = _branch_distance(vneg, exps, gs_q4_d1, power=False)
-    d_high, _, b_high = _branch_distance(vneg, exps, gs_q4_d1, power=True)
+    d_low, _, b_low, _ = _branch_distance(vneg, exps, gs_q4_d1, power=False)
+    d_high, _, b_high, _ = _branch_distance(vneg, exps, gs_q4_d1, power=True)
     assert b_low == pytest.approx(b_high, rel=1e-10)
     assert d_low == pytest.approx(d_high, abs=1e-10)
 

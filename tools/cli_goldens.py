@@ -42,8 +42,15 @@ import numpy as np
 #: blocked scan with no power map; the last sweep passes --p, a flag the sweep does
 #: not read, which is refused with exit 2; each holder-verify run spans
 #: more than one of the fuzzer's chunks, 1003 samples end in a partial chunk
-#: and --p 3 checks one exponent; the last constants run is on a default
-#: grid that truncates the profile, which is refused with exit 1
+#: and --p 3 checks one exponent; the constants run at d = 3 is on a default
+#: grid that truncates the profile, which is refused with exit 1.  The last
+#: three run d = 2, which no other command reaches: the radial d = 2 edge
+#: factors of the gradient integral, the kernel report at d = 2 and the
+#: p = 2 scan's reuse of its member for the transfer sides on a radial grid.
+#: Their default grid truncates the profile too, so they also record what a
+#: wider box will move: a constant and a sweep minimum below their resolved
+#: values, and a hessian run that exits 1 on an ell = 1 channel with no
+#: near-zero eigenvalue
 COMMANDS = (
     "constants --gamma 1.5 --d 1",
     "constants --gamma 1.5 --d 1 --grid-l 40 --grid-n 16000",
@@ -64,6 +71,9 @@ COMMANDS = (
     "holder-verify --samples 1003 --seed 4",
     "holder-verify --samples 600 --seed 1 --p 3",
     "constants --gamma 1 --d 3",
+    "constants --gamma 1 --d 2",
+    "hessian --q 4 --d 2",
+    "stability-sweep --gamma 1 --d 2 --format csv",
 )
 
 
