@@ -69,21 +69,19 @@ def _tol_eff(A: _Tridiag) -> float:
 
 
 def _certified(A: _Tridiag, lam, tol_eff) -> bool:
-    """The inertia half of the certificate: A - (lam - tol_eff) I positive
-    definite (dpttrf).  After the caller's residual gate ||A v - lam v|| <=
-    tol_eff it puts 0 <= lam - lambda_0 < tol_eff (derivations §10)."""
+    """A - (lam - tol_eff) I positive definite (dpttrf): past the caller's gate
+    ||A v - lam v|| <= tol_eff, 0 <= lam - lambda_0 < tol_eff (derivations §10)."""
     from scipy.linalg.lapack import dpttrf
     return dpttrf(A.main - (lam - tol_eff), A.upper)[2] == 0
 
 
 def _cold_ground_pair(A: _Tridiag, guess=None):
-    """Certified lowest pair (lam, unit vector, residual) of the symmetric
+    """Certified lowest pair (lam, unit vector, its residual) of the symmetric
     tridiagonal A by inverse iteration from guess (default: the ones vector),
-    at shifts dpttrf certifies below lambda_0 (derivations §10), closed one
-    step past the gate _tol_eff(A) by _certified; each step's residual
-    ||A v - lam v|| is measured once.  ConvergenceError after INVERSE_CAP,
-    or at once from a zero or non-finite guess.  lowest_eigenpair passes
-    sqrt(w V_-); a guess costs steps, never the answer (derivations §10)."""
+    at shifts dpttrf certifies below lambda_0, one residual per step, closed
+    one step past the gate _tol_eff(A) by _certified; ConvergenceError after
+    INVERSE_CAP, or at once from a zero or non-finite guess.  lowest_eigenpair
+    passes sqrt(w V_-); a guess costs steps, never the answer (derivations §10)."""
     from scipy.linalg.lapack import dpttrf, dpttrs
     if not (np.isfinite(A.main).all() and np.isfinite(A.upper).all()):
         raise ValueError("matrix must not contain infs or NaNs")
