@@ -111,10 +111,6 @@ def _load_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"{attr} must be finite, got {val!r}")
     if cfg.gamma is not None and cfg.q is not None:
         raise ConfigError("give exactly one of --gamma and --q")
-    if cfg.d < 1:
-        raise ConfigError("d must be a positive integer")
-    if cfg.grid_l <= 0.0 or cfg.grid_n < 16:
-        raise ConfigError("grid needs L > 0 and n >= 16")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
     if cfg.samples < 1:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -119,16 +120,8 @@ class KernelReport:
 
 
 def _channel_multiplicity(ell: int, d: int) -> int:
-    if d == 1:
-        return 1
-    if ell == 0:
-        return 1
-    if ell == 1:
-        return d
-    # dimension of degree-ell spherical harmonics in d variables
-    from math import comb
-
-    return comb(ell + d - 1, ell) - comb(ell + d - 3, ell - 2)
+    """Dimension of the degree-ell spherical harmonics in d variables."""
+    return comb(ell + d - 1, ell) - (comb(ell + d - 3, ell - 2) if ell >= 2 else 0)
 
 
 def kernel_report(gs: GroundState) -> KernelReport:

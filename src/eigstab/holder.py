@@ -90,8 +90,6 @@ class HolderReport:
 def holder_rows(f_rows, g_rows, weights, p: float):
     """Row-wise :func:`holder_report`: arrays (lhs, deficit, bound_main1,
     bound_main2, theta)."""
-    if p < 2.0:
-        raise InvalidExponentError(f"holder_report requires p >= 2, got {p}")
     pc = conjugate_exponent(p)
     nf = _unit_norm(f_rows, weights, p, "f")
     ng = _unit_norm(g_rows, weights, pc, "g")
@@ -100,8 +98,10 @@ def holder_rows(f_rows, g_rows, weights, p: float):
 
 
 def _holder_bounds(f_rows, g_rows, weights, p: float, df, dg):
-    """:func:`holder_rows` past its checks, given the dual rows D_p(f) and
-    D_p'(g)."""
+    """:func:`holder_rows` past its unit-norm checks, given D_p(f) and
+    D_p'(g); it refuses p < 2, below which neither bound is claimed."""
+    if p < 2.0:
+        raise InvalidExponentError(f"holder_report requires p >= 2, got {p}")
     pc = conjugate_exponent(p)
     z = pairing_rows(f_rows, g_rows, weights)
     theta = aligning_phase_rows(z)
@@ -152,13 +152,13 @@ def h_functional(psi: MeasFunction, U: MeasFunction, q: float) -> float:
     return float(_gap_rows(*_one_row(psi, U), q)[0][0])
 
 
-def remainder_rows(psi_rows, u_rows, weights, q: float, boundary_alt: bool = False):
+def remainder_rows(psi_rows, u_rows, weights, q: float):
     """Row-wise :func:`remainder_bounds`: arrays (B, H)."""
     H, psiq = _gap_rows(psi_rows, u_rows, weights, q)
     uvals = np.real(u_rows)
     scaled = np.abs(psi_rows) / psiq[:, None]
 
-    if q > 4.0 or (q == 4.0 and not boundary_alt):
+    if q >= 4.0:
         diff = require_finite(scaled ** (q - 2.0) - uvals)
         B = scalar_pow(psiq, 2.0) / (2.0 * (q - 2.0)) \
             * scalar_pow(lp_norm_rows(diff, weights, q / (q - 2.0)), 2.0)
@@ -169,18 +169,17 @@ def remainder_rows(psi_rows, u_rows, weights, q: float, boundary_alt: bool = Fal
     return B, H
 
 
-def remainder_bounds(
-    psi: MeasFunction, U: MeasFunction, q: float, boundary_alt: bool = False
-):
+def remainder_bounds(psi: MeasFunction, U: MeasFunction, q: float):
     """Lower bound B for H[psi, U] and the value H itself, as a pair (B, H).
 
     For q >= 4 the bound compares U against |psi|^(q-2)/||psi||_q^(q-2) in
     L^(q/(q-2)) with constant 1/(2(q-2)); for 2 < q < 4 it compares
     U^(2/(q-2)) against |psi|^2/||psi||_q^2 in L^(q/2) with constant
-    (q-2)/8.  At q = 4 both apply; the first is returned unless
-    ``boundary_alt`` is set.
+    (q-2)/8.  At q = 4 the two bounds are one number: both constants are
+    1/4, both powers are squares of |psi|/||psi||_q against U itself, and
+    both norms are L^2.
     """
-    B, H = remainder_rows(*_one_row(psi, U), q, boundary_alt)
+    B, H = remainder_rows(*_one_row(psi, U), q)
     return float(B[0]), float(H[0])
 
 

@@ -36,7 +36,7 @@ def scalar_pow(x, e: float):
 
 def _dot(x, y):
     """sum_i x_i y_i along the last axis, row by row: the package's one
-    reduction rule (docs/derivations.md §11).  numpy's einsum loop sums,
+    reduction rule (docs/numerics.md §11).  numpy's einsum loop sums,
     never BLAS, whose ddot threads past n = 10000, so its bits would depend
     on the thread count."""
     return np.einsum("...i,...i->...", x, y)

@@ -132,8 +132,8 @@ def test_holder_verify_p_flag(capsys):
     code, out, _ = run_cli(capsys, "holder-verify", "--samples", "100", "--seed", "1", "--p", "3")
     assert code == 0
     assert json.loads(out)["exponents"] == [3.0]
-    code, _, _ = run_cli(capsys, "holder-verify", "--samples", "10", "--p", "1.5")
-    assert code == 2
+    code, out, err = run_cli(capsys, "holder-verify", "--samples", "10", "--p", "1.5")
+    assert (code, out, err) == (2, "", "error: holder-verify needs p >= 2, got 1.5\n")
 
 
 def test_hessian_subcommand(capsys):

@@ -80,3 +80,9 @@ def test_both_blocked_scans_are_goldens():
     commands = _tool().COMMANDS
     assert "stability-sweep --gamma 2.5 --d 1 --format csv" in commands
     assert "stability-sweep --gamma 1 --d 1 --format csv" in commands
+
+
+def test_the_dimension_and_grid_refusals_are_goldens():
+    commands = _tool().COMMANDS
+    assert "constants --gamma 1.5 --d 0" in commands
+    assert "constants --gamma 1.5 --d 1 --grid-n 8" in commands

@@ -73,6 +73,50 @@ def test_holder_verify_takes_from_a_file_what_it_refuses_as_a_flag(capsys, tmp_p
     assert json.loads(with_file)["violations"] == 0
 
 
+#: the subcommands that build a grid, each with what else it needs to get
+#: that far; eigen reads its potential file only after the grid is built
+GRID_ARGS = {
+    "ground-state": ["--gamma", "1.5"],
+    "constants": ["--gamma", "1.5"],
+    "hessian": ["--gamma", "1.5"],
+    "stability-sweep": [],
+    "eigen": ["--potential", "missing.csv"],
+    "convergence": [],
+}
+
+#: the refusals' owners: Exponents.from_gamma for d, Grid for d on eigen's
+#: radial grid and for the grid itself
+BAD_SETTINGS = [
+    *((cmd, ["--d", "0"], "dimension must be >= 1")
+      for cmd in ("ground-state", "constants", "hessian", "stability-sweep")),
+    ("eigen", ["--d", "0"], "invalid grid: radial grids need dim >= 1"),
+    *((cmd, ["--grid-l", "0"], "invalid grid: extent must be positive and finite")
+      for cmd in GRID_ARGS),
+    *((cmd, ["--grid-n", "8"], "invalid grid: need at least 16 nodes") for cmd in GRID_ARGS),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags, message", BAD_SETTINGS,
+    ids=[f"{c}{''.join(f)}" for c, f, _ in BAD_SETTINGS],
+)
+def test_bad_dimension_or_grid_exits_2_with_one_error_line(capsys, command, flags, message):
+    assert main([command, *GRID_ARGS[command], *flags]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("doc", [{"d": 0}, {"grid_n": 8}])
+def test_holder_verify_runs_with_a_dimension_or_grid_it_does_not_read(capsys, tmp_path, doc):
+    args = ["holder-verify", "--samples", "20", "--seed", "5"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(args + ["--config", str(cfg)]) == 0
+    with_file = capsys.readouterr().out
+    assert main(args) == 0
+    assert with_file == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command, setting", UNREAD, ids=[f"{c}-{s}" for c, s in UNREAD])
 def test_unread_flag_is_refused_with_the_subcommand_usage(capsys, command, setting):
     flag, value = _flag(setting), VALUES[setting]

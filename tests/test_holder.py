@@ -9,8 +9,10 @@ from eigstab.exceptions import InvalidExponentError, PreconditionError
 from eigstab.holder import (
     aligning_phase,
     duality_continuity_check,
+    fuzz_inequalities,
     h_functional,
     holder_report,
+    holder_rows,
     power_comparison_check,
     remainder_bounds,
     uniform_convexity_gap,
@@ -66,9 +68,20 @@ def test_holder_report_preconditions():
     mu = WeightedMeasure.uniform_probability(8)
     with pytest.raises(InvalidExponentError):
         holder_report(mu.constant(1.0), mu.constant(1.0), 1.5)
+    ones = np.ones((3, 8))  # rows of unit norm in every L^p
+    with pytest.raises(InvalidExponentError, match="p >= 2, got 1.5"):
+        holder_rows(ones, 1j * ones, mu.weights, 1.5)
     f = mu.constant(2.0)  # not unit norm
     with pytest.raises(PreconditionError):
         holder_report(f, mu.constant(1.0), 2.0)
+
+
+@pytest.mark.parametrize("exponents", [(1.5,), (2.0, 1.5)])
+def test_fuzzer_refuses_p_below_2(exponents):
+    # main1 and main2 are claimed for p >= 2 only; the kernel the fuzzer
+    # shares with holder_rows refuses, so no violation is reported below it
+    with pytest.raises(InvalidExponentError, match="p >= 2, got 1.5"):
+        fuzz_inequalities(10, 0, exponents=exponents)
 
 
 def test_sharpness_family_two_atoms():
@@ -134,13 +147,10 @@ def test_remainder_bounds_branch_q4():
     mu = WeightedMeasure.uniform_probability(24)
     psi = random_unit_function(rng, mu, 4.0, complex_values=True)
     U = random_nonnegative_unit(rng, mu, 2.0)
-    b_high, H = remainder_bounds(psi, U, 4.0)
-    b_low, H2 = remainder_bounds(psi, U, 4.0, boundary_alt=True)
-    assert H == pytest.approx(H2)
-    assert b_high <= H + 1e-10
-    assert b_low <= H + 1e-10
-    # at q = 4 the two comparisons differ only in constant; both defined
-    assert b_high > 0.0 and b_low > 0.0
+    # at q = 4 the two branches' bounds are one number
+    # (tests/test_row_kernels.py checks it bit for bit)
+    B, H = remainder_bounds(psi, U, 4.0)
+    assert 0.0 < B <= H + 1e-10
 
 
 def test_h_functional_rejects_bad_U():

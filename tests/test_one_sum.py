@@ -1,6 +1,6 @@
 """One reduction rule: every grid-length dot product sums through
 ``measure._dot``, numpy's own loop, so no output depends on how many threads
-BLAS may use (docs/derivations.md §11).  OpenBLAS threads a dot product only
+BLAS may use (docs/numerics.md §11).  OpenBLAS threads a dot product only
 past 10000 entries, so the commands below run on grids longer than that."""
 
 import os

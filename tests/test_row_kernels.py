@@ -158,14 +158,32 @@ def test_power_comparison_rows(mu, q):
         assert tuple(None if x is None else x[r] for x in batch) == one
 
 
-@pytest.mark.parametrize("q, alt", [(3.0, False), (4.0, False), (4.0, True), (5.0, False)])
-def test_remainder_rows(mu, q, alt):
+@pytest.mark.parametrize("q", [3.0, 4.0, 5.0])
+def test_remainder_rows(mu, q):
     psi_rows = _unit(mu, _complex_rows()[:4], q)
     u_rows = _unit(mu, np.abs(_real_rows()), q / (q - 2.0))
-    B, H = remainder_rows(psi_rows, u_rows, mu.weights, q, alt)
+    B, H = remainder_rows(psi_rows, u_rows, mu.weights, q)
     for r, (psi, U) in enumerate(zip(_fns(mu, psi_rows), _fns(mu, u_rows))):
-        assert (B[r], H[r]) == remainder_bounds(psi, U, q, alt)
+        assert (B[r], H[r]) == remainder_bounds(psi, U, q)
         assert H[r] == h_functional(psi, U, q)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "weighted"])
+def test_remainder_rows_at_q4_is_the_low_branch_formula(mu, uniform):
+    # at q = 4 the q >= 4 bound, which the kernel takes, is the 2 < q < 4
+    # bound (q-2)/8 ||psi||_q^2 || |psi|^2/||psi||_q^2 - U^(2/(q-2)) ||_(q/2)^2
+    # bit for bit: both constants are 1/4, both powers squares, both norms L^2
+    q = 4.0
+    if uniform:
+        mu = WeightedMeasure.uniform_probability(N)
+    psi_rows = _unit(mu, _complex_rows(), q)
+    u_rows = _unit(mu, np.abs(_real_rows()[[0, 1, 2, 3, 0]]), q / (q - 2.0))
+    B, _ = remainder_rows(psi_rows, u_rows, mu.weights, q)
+    for r, (psi, U) in enumerate(zip(_fns(mu, psi_rows), _fns(mu, u_rows))):
+        nq = lp_norm(psi, q)
+        diff = (np.abs(psi.values) / nq) ** 2 - U.values.real ** (2.0 / (q - 2.0))
+        low = (q - 2.0) / 8.0 * nq**2 * lp_norm(MeasFunction(mu, diff), q / 2.0) ** 2
+        assert B[r] == low
 
 
 def test_zero_row_is_degenerate(mu):

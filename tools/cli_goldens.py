@@ -35,7 +35,7 @@ import numpy as np
 #: hessian runs at n = 16000, past the size at which BLAS threads its dot
 #: products, on the rank-one path of the ell = 0 channel; the second
 #: constants run is at n = 16000 too, where C once moved with the BLAS
-#: thread count (docs/derivations.md §11); the sweep also
+#: thread count (docs/numerics.md §11); the sweep also
 #: runs once in its default JSON format, the summary path, and once at
 #: gamma = 2.5 (p = 3), the high branch, whose line scans take the blocked
 #: (non-FFT) window sums, and at gamma = 1 (p = 3/2), the low branch's
@@ -43,14 +43,16 @@ import numpy as np
 #: not read, which is refused with exit 2; each holder-verify run spans
 #: more than one of the fuzzer's chunks, 1003 samples end in a partial chunk
 #: and --p 3 checks one exponent; the constants run at d = 3 is on a default
-#: grid that truncates the profile, which is refused with exit 1.  The last
-#: three run d = 2, which no other command reaches: the radial d = 2 edge
+#: grid that truncates the profile, which is refused with exit 1.  The
+#: three at d = 2 reach what no other command does: the radial d = 2 edge
 #: factors of the gradient integral, the kernel report at d = 2 and the
 #: p = 2 scan's reuse of its member for the transfer sides on a radial grid.
 #: Their default grid truncates the profile too, so they also record what a
 #: wider box will move: a constant and a sweep minimum below their resolved
 #: values, and a hessian run that exits 1 on an ell = 1 channel with no
-#: near-zero eigenvalue
+#: near-zero eigenvalue.  The last two cover the refusal paths of a bad
+#: dimension and a bad grid, each exit 2 with the message of the owner of
+#: that check, ``Exponents`` and ``Grid``
 COMMANDS = (
     "constants --gamma 1.5 --d 1",
     "constants --gamma 1.5 --d 1 --grid-l 40 --grid-n 16000",
@@ -74,6 +76,8 @@ COMMANDS = (
     "constants --gamma 1 --d 2",
     "hessian --q 4 --d 2",
     "stability-sweep --gamma 1 --d 2 --format csv",
+    "constants --gamma 1.5 --d 0",
+    "constants --gamma 1.5 --d 1 --grid-n 8",
 )
 
 
